@@ -1,40 +1,33 @@
 // SCALE — city-scale simulation engine benchmark.
 //
-// Exercises the sharded deterministic event core (DESIGN.md §14) end to
-// end:
+// Exercises the deterministic event core (DESIGN.md §14) end to end:
 //
 //   1. Determinism preamble (hard gates, run before any timing):
-//      * the city engine's commutative trace digest and its full sorted
-//        trace must be identical under the serial backend and the sharded
-//        backend at 2 threads;
-//      * the paper-scale Scenario — the real agent/chain stack — must
-//        produce the same chain tip, height and completed-exchange count
-//        under both backends.
+//      * two same-seed city runs must produce the same commutative trace
+//        digest, exchange count and full sorted trace;
+//      * two same-seed runs of the paper-scale Scenario — the real
+//        agent/chain stack — must produce the same chain tip, height and
+//        completed-exchange count.
 //   2. Headline run: 10k gateways / 100k sensors / 1k recipients driven
 //      until over one million fair exchanges complete, reporting
-//      exchanges/s and events/s of wall time plus peak RSS.
-//   3. Shard ablation: the same city re-run under the sharded backend at
-//      1/2/4/8 workers, digest-checked against the serial run.
+//      exchanges/s and events/s of wall time plus peak RSS. One warm-up
+//      run, then the median wall time of kReps timed runs (IQR recorded);
+//      every timed run must reproduce the warm-up's digest.
 //
 // Smoke mode (BCWAN_SCALE_SMOKE=1) shrinks the city so CI finishes in
 // seconds. Results land in BENCH_scale.json (schema-checked and
 // headline-gated by bench/check_bench_json.py).
-//
-// Note on speedup numbers: wall-clock speedup from sharding is bounded by
-// the physical cores of the host (reported as "cores"); on a single-core
-// runner the ablation mostly measures the overhead of the merge barrier.
-// The determinism gates are core-count independent.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "sim/citysim.hpp"
 #include "sim/scenario.hpp"
+#include "util/stats.hpp"
 #include "util/time.hpp"
 
 namespace {
@@ -42,7 +35,8 @@ namespace {
 using bcwan::util::SimTime;
 namespace util = bcwan::util;
 namespace sim = bcwan::sim;
-namespace p2p = bcwan::p2p;
+
+constexpr int kReps = 5;
 
 double wall_ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -70,23 +64,19 @@ struct CityResult {
   std::uint64_t digest = 0;
   std::uint64_t events = 0;
   std::uint64_t verify_failures = 0;
-  std::uint64_t parallel_windows = 0;
   double latency_mean_s = 0.0;
   double wall_ms = 0.0;
 };
 
-CityResult run_city(const sim::CityConfig& config,
-                    p2p::EventLoop::Backend backend, unsigned threads,
-                    SimTime duration) {
+CityResult run_city(const sim::CityConfig& config, SimTime duration) {
   const auto t0 = std::chrono::steady_clock::now();
-  sim::CityEngine engine(config, backend, threads);
+  sim::CityEngine engine(config);
   engine.run_for(duration);
   CityResult r;
   r.exchanges = engine.exchanges_completed();
   r.digest = engine.trace_digest();
   r.events = engine.loop().events_executed();
   r.verify_failures = engine.verify_failures();
-  r.parallel_windows = engine.loop().parallel_windows();
   r.latency_mean_s = engine.latency_mean_s();
   r.wall_ms = wall_ms_since(t0);
   return r;
@@ -99,11 +89,9 @@ struct ScenarioFingerprint {
   double latency_mean_s = 0.0;
 };
 
-/// Run the full-stack Scenario (real agents, real chain) under the given
-/// backend and fingerprint its end state. BCWAN_SIM_BACKEND is set for the
-/// Scenario's internally constructed EventLoop.
-ScenarioFingerprint run_scenario_backend(const char* backend) {
-  setenv("BCWAN_SIM_BACKEND", backend, 1);
+/// Run the full-stack Scenario (real agents, real chain) and fingerprint its
+/// end state.
+ScenarioFingerprint run_scenario() {
   sim::ScenarioConfig config;
   config.actors = 3;
   config.sensors_per_actor = 4;
@@ -116,7 +104,6 @@ ScenarioFingerprint run_scenario_backend(const char* backend) {
   fp.height = scenario.master_node().chain().height();
   fp.exchanges = scenario.exchanges_completed();
   fp.latency_mean_s = scenario.streamed_latency().mean();
-  unsetenv("BCWAN_SIM_BACKEND");
   return fp;
 }
 
@@ -124,7 +111,7 @@ ScenarioFingerprint run_scenario_backend(const char* backend) {
 
 int main() {
   bcwan::bench::print_header("SCALE",
-                             "city-scale sharded deterministic event core");
+                             "city-scale deterministic event core");
   const bool smoke = []() {
     for (const char* name : {"BCWAN_SMOKE", "BCWAN_SCALE_SMOKE"}) {
       const char* env = std::getenv(name);
@@ -136,37 +123,35 @@ int main() {
   std::printf("mode: %s, cores: %u\n\n", smoke ? "smoke" : "full", cores);
 
   // ---- 1. determinism gates ------------------------------------------------
-  std::printf("[1/3] cross-backend determinism gates\n");
+  std::printf("[1/2] same-seed repeat determinism gates\n");
   sim::CityConfig gate_config = city_config(true);
   gate_config.keep_trace = true;
   const SimTime gate_virtual = 2 * util::kMinute;
-  sim::CityEngine gate_serial(gate_config, p2p::EventLoop::Backend::kSerial,
-                              1);
-  gate_serial.run_for(gate_virtual);
-  sim::CityEngine gate_sharded(gate_config, p2p::EventLoop::Backend::kSharded,
-                               2);
-  gate_sharded.run_for(gate_virtual);
+  sim::CityEngine gate_first(gate_config);
+  gate_first.run_for(gate_virtual);
+  sim::CityEngine gate_second(gate_config);
+  gate_second.run_for(gate_virtual);
   const bool trace_equal =
-      gate_serial.trace_digest() == gate_sharded.trace_digest() &&
-      gate_serial.exchanges_completed() == gate_sharded.exchanges_completed() &&
-      gate_serial.sorted_trace() == gate_sharded.sorted_trace();
-  std::printf("  city trace: serial digest %016llx, sharded digest %016llx "
+      gate_first.trace_digest() == gate_second.trace_digest() &&
+      gate_first.exchanges_completed() == gate_second.exchanges_completed() &&
+      gate_first.sorted_trace() == gate_second.sorted_trace();
+  std::printf("  city trace: digests %016llx / %016llx "
               "(%llu exchanges) -> %s\n",
-              static_cast<unsigned long long>(gate_serial.trace_digest()),
-              static_cast<unsigned long long>(gate_sharded.trace_digest()),
+              static_cast<unsigned long long>(gate_first.trace_digest()),
+              static_cast<unsigned long long>(gate_second.trace_digest()),
               static_cast<unsigned long long>(
-                  gate_serial.exchanges_completed()),
+                  gate_first.exchanges_completed()),
               trace_equal ? "EQUAL" : "MISMATCH");
 
-  const ScenarioFingerprint fp_serial = run_scenario_backend("serial");
-  const ScenarioFingerprint fp_sharded = run_scenario_backend("sharded");
-  const bool tips_equal = fp_serial.tip == fp_sharded.tip &&
-                          fp_serial.height == fp_sharded.height &&
-                          fp_serial.exchanges == fp_sharded.exchanges;
+  const ScenarioFingerprint fp_first = run_scenario();
+  const ScenarioFingerprint fp_second = run_scenario();
+  const bool tips_equal = fp_first.tip == fp_second.tip &&
+                          fp_first.height == fp_second.height &&
+                          fp_first.exchanges == fp_second.exchanges;
   std::printf("  scenario chain: height %d/%d, exchanges %llu/%llu -> %s\n",
-              fp_serial.height, fp_sharded.height,
-              static_cast<unsigned long long>(fp_serial.exchanges),
-              static_cast<unsigned long long>(fp_sharded.exchanges),
+              fp_first.height, fp_second.height,
+              static_cast<unsigned long long>(fp_first.exchanges),
+              static_cast<unsigned long long>(fp_second.exchanges),
               tips_equal ? "EQUAL" : "MISMATCH");
   if (!trace_equal || !tips_equal) {
     std::fprintf(stderr, "determinism gate failed; aborting bench\n");
@@ -181,23 +166,39 @@ int main() {
   const std::uint64_t target_exchanges = smoke ? 20000 : 1000000;
   const SimTime duration =
       smoke ? 12 * util::kMinute : 11 * util::kMinute;
-  std::printf("\n[2/3] headline: %u gateways, %u sensors, %u recipients, "
+  std::printf("\n[2/2] headline: %u gateways, %u sensors, %u recipients, "
               "%.0f virtual minutes\n",
               config.gateways, config.sensors, config.recipients,
               util::to_seconds(duration) / 60.0);
 
-  const CityResult headline =
-      run_city(config, p2p::EventLoop::Backend::kSerial, 1, duration);
+  // One warm-up run (page faults, cold caches), then kReps timed runs; the
+  // headline is the median wall time. Every timed run must reproduce the
+  // warm-up's exchange set.
+  const CityResult headline = run_city(config, duration);
+  util::SampleStats wall_ms;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const CityResult r = run_city(config, duration);
+    std::printf("  rep %d: %8.1f ms wall\n", rep + 1, r.wall_ms);
+    if (r.digest != headline.digest || r.exchanges != headline.exchanges) {
+      std::fprintf(stderr, "rep %d diverged from the warm-up run\n", rep + 1);
+      return 1;
+    }
+    wall_ms.add(r.wall_ms);
+  }
+  const double wall_median_s = wall_ms.median() / 1e3;
+  const double wall_q1_s = wall_ms.percentile(25.0) / 1e3;
+  const double wall_q3_s = wall_ms.percentile(75.0) / 1e3;
   const double exchanges_per_sec =
-      static_cast<double>(headline.exchanges) / (headline.wall_ms / 1e3);
+      static_cast<double>(headline.exchanges) / wall_median_s;
   const double events_per_sec =
-      static_cast<double>(headline.events) / (headline.wall_ms / 1e3);
+      static_cast<double>(headline.events) / wall_median_s;
   const unsigned long long rss = bcwan::bench::peak_rss_bytes();
   const double rss_gib = static_cast<double>(rss) / (1024.0 * 1024.0 * 1024.0);
-  std::printf("  exchanges : %llu (target %llu) in %.1f s wall\n",
+  std::printf("  exchanges : %llu (target %llu) in %.3f s wall "
+              "(median of %d, IQR %.3f s)\n",
               static_cast<unsigned long long>(headline.exchanges),
               static_cast<unsigned long long>(target_exchanges),
-              headline.wall_ms / 1e3);
+              wall_median_s, kReps, wall_q3_s - wall_q1_s);
   std::printf("  throughput: %.0f exchanges/s, %.0f events/s (wall)\n",
               exchanges_per_sec, events_per_sec);
   std::printf("  latency   : %.3f s mean (virtual), verify failures %llu\n",
@@ -205,42 +206,11 @@ int main() {
               static_cast<unsigned long long>(headline.verify_failures));
   std::printf("  peak RSS  : %.3f GiB\n", rss_gib);
   const bool scale_target_met = headline.exchanges >= target_exchanges &&
-                                headline.wall_ms <= 600e3 &&
+                                wall_median_s <= 600.0 &&
                                 (rss == 0 || rss_gib <= 4.0);
   std::printf("  scale target (>=%llu exchanges, <=10 min, <=4 GiB): %s\n",
               static_cast<unsigned long long>(target_exchanges),
               scale_target_met ? "MET" : "NOT MET");
-
-  // ---- 3. shard ablation ---------------------------------------------------
-  std::printf("\n[3/3] shard ablation (sharded backend, digest-checked)\n");
-  struct Ablation {
-    unsigned threads;
-    CityResult result;
-  };
-  std::vector<Ablation> ablation;
-  double speedup_8t = 0.0;
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    const CityResult r = run_city(config, p2p::EventLoop::Backend::kSharded,
-                                  threads, duration);
-    const double speedup = headline.wall_ms / r.wall_ms;
-    if (threads == 8) speedup_8t = speedup;
-    std::printf("  %u threads: %8.0f ms wall, %llu windows, digest %s, "
-                "%.2fx vs serial\n",
-                threads, r.wall_ms,
-                static_cast<unsigned long long>(r.parallel_windows),
-                r.digest == headline.digest ? "EQUAL" : "MISMATCH", speedup);
-    if (r.digest != headline.digest ||
-        r.exchanges != headline.exchanges) {
-      std::fprintf(stderr, "ablation digest mismatch at %u threads\n",
-                   threads);
-      return 1;
-    }
-    ablation.push_back(Ablation{threads, r});
-  }
-  if (cores < 8) {
-    std::printf("  (host has %u core(s); wall-clock speedup is bounded by "
-                "physical parallelism)\n", cores);
-  }
 
   // ---- JSON ----------------------------------------------------------------
   std::FILE* f = std::fopen("BENCH_scale.json", "w");
@@ -256,29 +226,22 @@ int main() {
     w.num("virtual_seconds", util::to_seconds(duration), "%.1f");
     w.uint("exchanges_completed", headline.exchanges);
     w.uint("events_executed", headline.events);
-    w.num("wall_seconds", headline.wall_ms / 1e3, "%.3f");
+    w.uint("warmup_runs", 1);
+    w.uint("repetitions", kReps);
+    w.num("wall_seconds", wall_median_s, "%.3f");
+    w.num("wall_seconds_q1", wall_q1_s, "%.3f");
+    w.num("wall_seconds_q3", wall_q3_s, "%.3f");
+    w.num("wall_seconds_iqr", wall_q3_s - wall_q1_s, "%.3f");
     w.num("exchanges_per_sec_wall", exchanges_per_sec, "%.1f");
     w.num("events_per_sec_wall", events_per_sec, "%.1f");
     w.num("latency_mean_s", headline.latency_mean_s, "%.3f");
     w.uint("verify_failures", headline.verify_failures);
     w.boolean("verify_clean", headline.verify_failures == 0);
-    w.boolean("backend_trace_equal", trace_equal);
-    w.boolean("chain_tips_equal", tips_equal);
+    w.boolean("trace_repeat_equal", trace_equal);
+    w.boolean("chain_tips_repeat_equal", tips_equal);
     w.boolean("scale_target_met", scale_target_met);
     w.uint("peak_rss_bytes", rss);
     w.num("peak_rss_gib", rss_gib, "%.3f");
-    w.num("sharded_speedup_8t", speedup_8t, "%.2f");
-    w.begin_array("ablation");
-    for (const Ablation& a : ablation) {
-      w.begin_object();
-      w.uint("threads", a.threads);
-      w.num("wall_ms", a.result.wall_ms, "%.1f");
-      w.uint("parallel_windows", a.result.parallel_windows);
-      w.num("speedup_vs_serial", headline.wall_ms / a.result.wall_ms, "%.3f");
-      w.boolean("digest_match", a.result.digest == headline.digest);
-      w.end_object();
-    }
-    w.end_array();
     w.end_object();
     w.finish();
     std::fclose(f);

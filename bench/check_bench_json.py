@@ -89,19 +89,19 @@ SCHEMAS = {
         "virtual_seconds": NUM,
         "exchanges_completed": NUM,
         "events_executed": NUM,
+        "repetitions": NUM,
         "wall_seconds": NUM,
+        "wall_seconds_iqr": NUM,
         "exchanges_per_sec_wall": NUM,
         "events_per_sec_wall": NUM,
         "latency_mean_s": NUM,
         "verify_failures": NUM,
         "verify_clean": bool,
-        "backend_trace_equal": bool,
-        "chain_tips_equal": bool,
+        "trace_repeat_equal": bool,
+        "chain_tips_repeat_equal": bool,
         "scale_target_met": bool,
         "peak_rss_bytes": NUM,
         "peak_rss_gib": NUM,
-        "sharded_speedup_8t": NUM,
-        "ablation": list,
     },
     "CLUSTER": {
         "smoke": bool,
@@ -146,13 +146,13 @@ HEADLINES = {
 }
 
 # Hard correctness bits: if present and false, fail regardless of timings.
-# backend_trace_equal / chain_tips_equal are the cross-backend determinism
-# gates (serial vs sharded event loop must be bit-identical).
+# trace_repeat_equal / chain_tips_repeat_equal are the SCALE determinism
+# gates (two same-seed city / Scenario runs must be bit-identical).
 # snapshot_cost_independent asserts the tentpole property of incremental
 # snapshots: a delta's size tracks the change window, not the UTXO set.
 CORRECTNESS_FLAGS = ["equivalence_ok", "verdicts_match",
                      "economic_invariants_hold", "verify_clean",
-                     "backend_trace_equal", "chain_tips_equal",
+                     "trace_repeat_equal", "chain_tips_repeat_equal",
                      "converged", "snapshot_cost_independent"]
 
 

@@ -1,135 +1,22 @@
 #include "p2p/event_loop.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <exception>
 #include <limits>
-#include <stdexcept>
-#include <thread>
-
-#include "util/threadpool.hpp"
 
 namespace bcwan::p2p {
-
-namespace {
-
-constexpr util::SimTime kMaxTime = std::numeric_limits<util::SimTime>::max();
-// Ring of lookahead-wide buckets: 2^15 buckets cover ~65 s of virtual time
-// at the default 2 ms lookahead; anything further out waits in the overflow
-// heap until the ring floor advances.
-constexpr std::size_t kRingBuckets = std::size_t{1} << 15;
-// Buckets smaller than this run serially even if fully parallel-strand —
-// a worker-pool round trip costs more than a handful of events.
-constexpr std::size_t kMinParallelWindow = 8;
-
-EventLoop::Backend backend_from_env() {
-  const char* env = std::getenv("BCWAN_SIM_BACKEND");
-  if (env != nullptr && std::string_view(env) == "sharded")
-    return EventLoop::Backend::kSharded;
-  return EventLoop::Backend::kSerial;
-}
-
-unsigned threads_from_env() {
-  if (const char* env = std::getenv("BCWAN_SIM_THREADS")) {
-    const long parsed = std::atol(env);
-    if (parsed > 0 && parsed <= 256) return static_cast<unsigned>(parsed);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp(hw, 1u, 8u);
-}
-
-}  // namespace
-
-thread_local EventLoop::ExecContext* EventLoop::tls_ctx_ = nullptr;
-
-EventLoop::EventLoop() : EventLoop(backend_from_env(), threads_from_env()) {}
-
-EventLoop::EventLoop(Backend backend, unsigned threads)
-    : backend_(backend), threads_(std::max(threads, 1u)) {
-  if (backend_ == Backend::kSharded) {
-    ring_.resize(kRingBuckets);
-    group_order_.resize(threads_);
-    staged_.resize(threads_);
-  }
-}
-
-EventLoop::~EventLoop() = default;
-
-util::SimTime EventLoop::now() const noexcept {
-  const ExecContext* ctx = tls_ctx_;
-  if (ctx != nullptr && ctx->loop == this) return ctx->now;
-  return now_;
-}
-
-void EventLoop::set_lookahead(util::SimTime lookahead) {
-  if (lookahead <= 0) throw std::invalid_argument("lookahead must be > 0");
-  if (pending_ != 0)
-    throw std::logic_error("set_lookahead with events pending");
-  lookahead_ = lookahead;
-  // Re-anchor the ring floor so already-elapsed time maps below it.
-  if (backend_ == Backend::kSharded) ring_floor_bucket_ = bucket_of(now_);
-}
 
 std::uint32_t EventLoop::register_code(CodeHandler handler) {
   codes_.push_back(std::move(handler));
   return static_cast<std::uint32_t>(codes_.size() - 1);
 }
 
-void EventLoop::schedule_callback(util::SimTime when, StrandId strand,
-                                  Callback cb) {
-  insert(when, strand, kCallbackCode, 0, 0, std::move(cb));
-}
-
-void EventLoop::post(util::SimTime when, StrandId strand, std::uint32_t code,
-                     std::uint64_t a, std::uint64_t b) {
-  insert(when, strand, code, a, b, Callback{});
-}
-
-void EventLoop::insert(util::SimTime when, StrandId strand, std::uint32_t code,
+void EventLoop::insert(util::SimTime when, std::uint32_t code,
                        std::uint64_t a, std::uint64_t b, Callback cb) {
-  ExecContext* ctx = tls_ctx_;
-  if (ctx != nullptr && ctx->loop == this) {
-    // Inside a parallel window: stage on this worker, materialize at the
-    // merge barrier. The lookahead floor is what keeps windows causally
-    // closed — a parallel event may not reach back inside its own horizon.
-    if (when < ctx->min_child_when) {
-      throw std::logic_error(
-          "EventLoop: parallel-strand event scheduled a child closer than "
-          "the lookahead window");
-    }
-    ctx->staged->push_back(Staged{when, strand, code, a, b, std::move(cb)});
-    return;
-  }
-  when = std::max(when, now_);
-  const std::uint32_t slot =
-      events_.acquire(Event{when, next_seq_++, strand, code, a, b,
-                            std::move(cb)});
-  insert_entry(HeapEntry{when, events_.get(slot).seq, slot});
+  const std::uint32_t slot = events_.acquire(Event{code, a, b, std::move(cb)});
+  heap_push(HeapEntry{std::max(when, now_), next_seq_++, slot});
 }
 
-void EventLoop::insert_entry(HeapEntry entry) {
-  ++pending_;
-  if (backend_ == Backend::kSerial) {
-    heap_push(entry);
-    return;
-  }
-  const std::uint64_t bucket = bucket_of(entry.when);
-  if (bucket_active_ && bucket == bucket_active_id_) {
-    bucket_heap_.push_back(entry);
-    std::push_heap(bucket_heap_.begin(), bucket_heap_.end(),
-                   [](const HeapEntry& x, const HeapEntry& y) { return y < x; });
-    return;
-  }
-  if (bucket >= ring_floor_bucket_ + ring_.size()) {
-    overflow_.push_back(entry);
-    std::push_heap(overflow_.begin(), overflow_.end(),
-                   [](const HeapEntry& x, const HeapEntry& y) { return y < x; });
-    return;
-  }
-  ring_slot(bucket).push_back(entry.slot);
-}
-
-// ---- 4-ary heap (serial backend) -------------------------------------------
+// ---- 4-ary heap -------------------------------------------------------------
 
 void EventLoop::heap_push(HeapEntry entry) {
   heap_.push_back(entry);
@@ -164,276 +51,45 @@ EventLoop::HeapEntry EventLoop::heap_pop() {
 
 // ---- execution --------------------------------------------------------------
 
-void EventLoop::dispatch(const Event& event) {
-  if (event.code == kCallbackCode) {
-    event.cb();
-  } else {
-    codes_[event.code](event.a, event.b);
-  }
-}
-
-void EventLoop::execute(std::uint32_t slot) {
-  Event& event = events_.get(slot);
-  now_ = event.when;
+void EventLoop::execute(HeapEntry entry) {
+  Event& event = events_.get(entry.slot);
+  now_ = entry.when;
+  ++executed_;
   if (event.code == kCallbackCode) {
     // Move the callback out first: it may schedule (growing the slab) or
-    // otherwise re-enter; the slot is released only after it returns.
+    // otherwise re-enter; the slot is released before it runs.
     Callback cb = std::move(event.cb);
-    events_.release(slot);
-    --pending_;
-    ++executed_;
+    events_.release(entry.slot);
     cb();
   } else {
     const std::uint32_t code = event.code;
     const std::uint64_t a = event.a;
     const std::uint64_t b = event.b;
-    events_.release(slot);
-    --pending_;
-    ++executed_;
+    events_.release(entry.slot);
     codes_[code](a, b);
   }
 }
 
 bool EventLoop::step() {
-  if (pending_ == 0) return false;
-  if (backend_ == Backend::kSerial) {
-    execute(heap_pop().slot);
-    return true;
-  }
-  // Sharded: locate the earliest bucket, pull its minimum, put the rest
-  // back. O(bucket) — step() is a test/debug convenience, run_until is the
-  // production path.
-  std::uint64_t bucket = 0;
-  if (!find_next_bucket(kMaxTime, &bucket)) return false;
-  auto& slots = ring_slot(bucket);
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < slots.size(); ++i) {
-    const Event& a = events_.get(slots[i]);
-    const Event& b = events_.get(slots[best]);
-    if (a.when != b.when ? a.when < b.when : a.seq < b.seq) best = i;
-  }
-  const std::uint32_t slot = slots[best];
-  slots[best] = slots.back();
-  slots.pop_back();
-  execute(slot);
+  if (heap_.empty()) return false;
+  execute(heap_pop());
   return true;
 }
 
-void EventLoop::run() {
-  stopped_.store(false, std::memory_order_relaxed);
-  if (backend_ == Backend::kSerial) {
-    while (!stop_requested() && step()) {
-    }
-    return;
+void EventLoop::drain(util::SimTime deadline) {
+  stopped_ = false;
+  while (!stopped_ && !heap_.empty() && heap_.front().when <= deadline) {
+    execute(heap_pop());
   }
-  run_until_sharded(kMaxTime);
 }
+
+void EventLoop::run() { drain(std::numeric_limits<util::SimTime>::max()); }
 
 void EventLoop::run_until(util::SimTime deadline) {
-  stopped_.store(false, std::memory_order_relaxed);
-  if (backend_ == Backend::kSerial) {
-    run_until_serial(deadline);
-  } else {
-    run_until_sharded(deadline);
-  }
-  now_ = std::max(now_, deadline);
-}
-
-void EventLoop::run_until_serial(util::SimTime deadline) {
-  while (!stop_requested() && !heap_.empty() &&
-         heap_.front().when <= deadline) {
-    execute(heap_pop().slot);
-  }
-}
-
-// ---- sharded backend --------------------------------------------------------
-
-void EventLoop::drain_overflow(std::uint64_t floor_bucket) {
-  const auto cmp = [](const HeapEntry& x, const HeapEntry& y) { return y < x; };
-  while (!overflow_.empty() &&
-         bucket_of(overflow_.front().when) < floor_bucket + ring_.size()) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), cmp);
-    const HeapEntry entry = overflow_.back();
-    overflow_.pop_back();
-    ring_slot(bucket_of(entry.when)).push_back(entry.slot);
-  }
-}
-
-bool EventLoop::find_next_bucket(util::SimTime deadline,
-                                 std::uint64_t* next_bucket) {
-  if (pending_ == 0) return false;
-  std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
-  if (!overflow_.empty()) best = bucket_of(overflow_.front().when);
-  for (std::uint64_t b = ring_floor_bucket_;
-       b < ring_floor_bucket_ + ring_.size() && b < best; ++b) {
-    if (!ring_slot(b).empty()) {
-      best = b;
-      break;
-    }
-  }
-  if (best == std::numeric_limits<std::uint64_t>::max()) return false;
-  if (static_cast<util::SimTime>(best) * lookahead_ > deadline) {
-    // The earliest pending event's bucket starts past the deadline; no
-    // event at or before the deadline exists (bucket start <= event time).
-    return false;
-  }
-  ring_floor_bucket_ = best;
-  drain_overflow(best);
-  *next_bucket = best;
-  return true;
-}
-
-void EventLoop::run_bucket_serial(std::uint64_t bucket,
-                                  util::SimTime deadline) {
-  const auto cmp = [](const HeapEntry& x, const HeapEntry& y) { return y < x; };
-  auto& slots = ring_slot(bucket);
-  bucket_heap_.clear();
-  bucket_heap_.reserve(slots.size());
-  for (const std::uint32_t slot : slots) {
-    const Event& e = events_.get(slot);
-    bucket_heap_.push_back(HeapEntry{e.when, e.seq, slot});
-  }
-  slots.clear();
-  std::make_heap(bucket_heap_.begin(), bucket_heap_.end(), cmp);
-  bucket_active_ = true;
-  bucket_active_id_ = bucket;
-  while (!bucket_heap_.empty() && !stop_requested()) {
-    if (bucket_heap_.front().when > deadline) break;
-    std::pop_heap(bucket_heap_.begin(), bucket_heap_.end(), cmp);
-    const HeapEntry entry = bucket_heap_.back();
-    bucket_heap_.pop_back();
-    execute(entry.slot);
-  }
-  bucket_active_ = false;
-  // Deadline/stop leftovers go back to the ring for the next pass.
-  for (const HeapEntry& entry : bucket_heap_) slots.push_back(entry.slot);
-  bucket_heap_.clear();
-}
-
-void EventLoop::run_bucket_parallel(std::vector<HeapEntry>& entries) {
-  if (!pool_) pool_ = std::make_unique<util::ThreadPool>(threads_ - 1);
-  for (auto& order : group_order_) order.clear();
-  std::size_t groups_used = 0;
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Event& e = events_.get(entries[i].slot);
-    const auto group =
-        static_cast<std::size_t>(static_cast<std::uint32_t>(e.strand)) %
-        threads_;
-    if (group_order_[group].empty()) ++groups_used;
-    group_order_[group].push_back(static_cast<std::uint32_t>(i));
-  }
-  if (groups_used < 2) {
-    // Everything maps to one worker: run inline, skip the barrier.
-    for (const HeapEntry& entry : entries) execute(entry.slot);
-    entries.clear();
-    return;
-  }
-
-  for (std::size_t g = 0; g < threads_; ++g) {
-    staged_[g].resize(group_order_[g].size());
-    for (auto& staged : staged_[g]) staged.clear();
-  }
-
-  // ThreadPool tasks must not throw; park any contract violation (e.g. the
-  // lookahead check in insert()) per group and rethrow it on the caller
-  // after the batch — the loop is unusable past that point by contract, but
-  // the error surfaces as an exception instead of a deadlocked pool.
-  std::vector<std::exception_ptr> errors(threads_);
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(groups_used);
-  for (std::size_t g = 0; g < threads_; ++g) {
-    if (group_order_[g].empty()) continue;
-    tasks.push_back([this, g, &entries, &errors] {
-      ExecContext ctx;
-      ctx.loop = this;
-      tls_ctx_ = &ctx;
-      const auto& order = group_order_[g];
-      try {
-        for (std::size_t pos = 0; pos < order.size(); ++pos) {
-          const Event& event = events_.get(entries[order[pos]].slot);
-          ctx.now = event.when;
-          ctx.min_child_when = event.when + lookahead_;
-          ctx.staged = &staged_[g][pos];
-          dispatch(event);
-        }
-      } catch (...) {
-        errors[g] = std::current_exception();
-      }
-      tls_ctx_ = nullptr;
-    });
-  }
-  pool_->run(std::move(tasks));
-  ++parallel_windows_;
-  for (const std::exception_ptr& error : errors)
-    if (error) std::rethrow_exception(error);
-
-  // Merge barrier: walk the window in global (when, seq) order and assign
-  // child sequence numbers exactly as the serial backend would have —
-  // parents in execution order, each parent's children in emission order.
-  std::vector<std::size_t> cursor(threads_, 0);
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Event& e = events_.get(entries[i].slot);
-    const auto group =
-        static_cast<std::size_t>(static_cast<std::uint32_t>(e.strand)) %
-        threads_;
-    for (Staged& staged : staged_[group][cursor[group]]) {
-      const std::uint32_t slot = events_.acquire(
-          Event{staged.when, next_seq_++, staged.strand, staged.code,
-                staged.a, staged.b, std::move(staged.cb)});
-      insert_entry(HeapEntry{staged.when, events_.get(slot).seq, slot});
-    }
-    ++cursor[group];
-  }
-  now_ = entries.back().when;
-  executed_ += entries.size();
-  pending_ -= entries.size();
-  for (const HeapEntry& entry : entries) events_.release(entry.slot);
-  entries.clear();
-}
-
-void EventLoop::run_until_sharded(util::SimTime deadline) {
-  std::uint64_t bucket = 0;
-  while (!stop_requested() && find_next_bucket(deadline, &bucket)) {
-    auto& slots = ring_slot(bucket);
-    // Peek: a bucket with any serial-strand event (or too few events to
-    // amortize a pool round trip) runs strictly serially.
-    bool parallel_ok = threads_ > 1 && slots.size() >= kMinParallelWindow;
-    util::SimTime min_when = kMaxTime;
-    for (const std::uint32_t slot : slots) {
-      const Event& e = events_.get(slot);
-      min_when = std::min(min_when, e.when);
-      if (e.strand < 0) parallel_ok = false;
-    }
-    if (min_when > deadline) break;  // earliest work lies past the deadline
-    if (!parallel_ok) {
-      run_bucket_serial(bucket, deadline);
-      continue;
-    }
-    window_.clear();
-    window_.reserve(slots.size());
-    for (const std::uint32_t slot : slots) {
-      const Event& e = events_.get(slot);
-      window_.push_back(HeapEntry{e.when, e.seq, slot});
-    }
-    slots.clear();
-    std::sort(window_.begin(), window_.end());
-    // Deadline may bisect the bucket: the tail past it goes back.
-    auto past = std::partition_point(
-        window_.begin(), window_.end(),
-        [deadline](const HeapEntry& e) { return e.when <= deadline; });
-    if (past != window_.end()) {
-      for (auto it = past; it != window_.end(); ++it)
-        slots.push_back(it->slot);
-      window_.erase(past, window_.end());
-    }
-    if (window_.empty()) break;
-    if (window_.size() < kMinParallelWindow) {
-      for (const HeapEntry& entry : window_) execute(entry.slot);
-      window_.clear();
-      continue;
-    }
-    run_bucket_parallel(window_);
-  }
+  drain(deadline);
+  // A stopped run may leave events before the deadline queued; jumping the
+  // clock past them would make the next run move it backwards.
+  if (!stopped_) now_ = std::max(now_, deadline);
 }
 
 }  // namespace bcwan::p2p

@@ -1,62 +1,25 @@
-// Discrete-event scheduler over virtual time — serial and sharded backends.
+// Discrete-event scheduler over virtual time.
 //
 // The whole evaluation is a deterministic simulation: LoRa airtime, WAN
 // propagation, daemon stalls and mining all schedule callbacks here. Events
 // at equal timestamps run in insertion order, so runs replay exactly.
 //
-// City-scale rebuild (DESIGN.md §14): the original loop was a
-// std::priority_queue of heap-allocated std::function callbacks — three
-// allocations and a ~40-byte closure per scheduled message at 10k gateways.
-// This version keeps events in a slab (util::Slab) addressed by uint32
-// slots, offers an allocation-free *coded* event flavor (a (code, a, b)
-// triple dispatched through a registered handler — the compact agents'
-// native currency), and runs under one of two backends:
-//
-//   * kSerial — an intrusive 4-ary min-heap of (when, seq, slot) entries.
-//     Exactly the legacy semantics: strict (when, seq) execution order.
-//   * kSharded — a bucketed calendar queue with conservative-lookahead
-//     windows. Events land in aligned buckets of `lookahead()` virtual
-//     time; a bucket whose events all belong to parallel strands executes
-//     across the worker pool (one worker per strand group), then a merge
-//     barrier re-assigns child sequence numbers in the exact order the
-//     serial backend would have — so the two backends produce bit-identical
-//     traces. Buckets containing serial-strand events (everything scheduled
-//     through the legacy at()/after() API) fall back to strict serial
-//     stepping within the bucket.
-//
-// Determinism contract for parallel strands: an event on strand >= 0 may
-// only touch state owned by its strand, must draw randomness from
-// order-independent substreams (util::Rng::substream), and may only
-// schedule further events at >= its own timestamp + lookahead(). The last
-// rule is enforced (std::logic_error) — it is what guarantees a window
-// never receives events from inside itself, which in turn is why windows
-// can run concurrently without violating causality.
-//
-// Backend selection: explicit constructor argument, or BCWAN_SIM_BACKEND
-// ("serial" | "sharded") for the default constructor; worker count from
-// BCWAN_SIM_THREADS (default: hardware concurrency, capped at 8).
+// City-scale design (DESIGN.md §14): events live in a slab (util::Slab)
+// addressed by uint32 slots and are ordered by one intrusive 4-ary min-heap
+// of (when, seq, slot) entries. Besides std::function callbacks the loop
+// offers an allocation-free *coded* event flavor — a (code, a, b) triple
+// dispatched through a registered handler — which is what the compact
+// city agents and SimNet's deliveries post.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "util/slab.hpp"
 #include "util/time.hpp"
 
-namespace bcwan::util {
-class ThreadPool;
-}  // namespace bcwan::util
-
 namespace bcwan::p2p {
-
-/// Events on strand kSerialStrand (every legacy at()/after() call) keep
-/// strict global ordering; strands >= 0 declare "my state is disjoint from
-/// other strands'" and become eligible for windowed parallel execution.
-using StrandId = std::int32_t;
-constexpr StrandId kSerialStrand = -1;
 
 class EventLoop {
  public:
@@ -64,31 +27,20 @@ class EventLoop {
   /// Handler for coded events: receives the (a, b) payload words.
   using CodeHandler = std::function<void(std::uint64_t, std::uint64_t)>;
 
-  enum class Backend { kSerial, kSharded };
-
-  /// Reads BCWAN_SIM_BACKEND / BCWAN_SIM_THREADS.
-  EventLoop();
-  EventLoop(Backend backend, unsigned threads);
-  ~EventLoop();
+  EventLoop() = default;
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Virtual now. Inside a parallel window this is the executing event's
-  /// timestamp on the calling worker thread.
-  util::SimTime now() const noexcept;
+  util::SimTime now() const noexcept { return now_; }
 
-  /// Schedule at an absolute virtual time (clamped to now). Serial strand.
+  /// Schedule at an absolute virtual time (clamped to now).
   void at(util::SimTime when, Callback cb) {
-    schedule_callback(when, kSerialStrand, std::move(cb));
+    insert(when, kCallbackCode, 0, 0, std::move(cb));
   }
-  /// Schedule `delay` after now. Serial strand.
+  /// Schedule `delay` after now.
   void after(util::SimTime delay, Callback cb) {
-    schedule_callback(now() + delay, kSerialStrand, std::move(cb));
-  }
-  /// Strand-tagged callback event.
-  void at_strand(util::SimTime when, StrandId strand, Callback cb) {
-    schedule_callback(when, strand, std::move(cb));
+    insert(now_ + delay, kCallbackCode, 0, 0, std::move(cb));
   }
 
   /// Register a coded-event handler; returns the code to post() with.
@@ -96,45 +48,33 @@ class EventLoop {
   /// running.
   std::uint32_t register_code(CodeHandler handler);
 
-  /// Allocation-free event: at `when`, on `strand`, invoke the handler
+  /// Allocation-free event: at `when` (clamped to now), invoke the handler
   /// registered for `code` with (a, b). The event record lives in the slab;
   /// nothing is heap-allocated per post.
-  void post(util::SimTime when, StrandId strand, std::uint32_t code,
-            std::uint64_t a = 0, std::uint64_t b = 0);
+  void post(util::SimTime when, std::uint32_t code, std::uint64_t a = 0,
+            std::uint64_t b = 0) {
+    insert(when, code, a, b, Callback{});
+  }
 
-  /// Run one event; false when the queue is empty. Strict serial semantics
-  /// on both backends.
+  /// Run one event; false when the queue is empty.
   bool step();
   /// Run until the queue empties or stop() is called.
   void run();
-  /// Run every event scheduled at or before `deadline`; the clock ends at
-  /// `deadline` even if the queue still has later events.
+  /// Run every event scheduled at or before `deadline`; unless stop() cut
+  /// the run short, the clock ends at `deadline` even if the queue still
+  /// has later events.
   void run_until(util::SimTime deadline);
 
-  /// Stops run()/run_until() at the next boundary: immediately between
-  /// events on the serial path, after the in-flight window on the sharded
-  /// path. A subsequent run() resumes with the remaining queue.
-  void stop() noexcept { stopped_.store(true, std::memory_order_relaxed); }
-  std::size_t pending() const noexcept { return pending_; }
+  /// Stops run()/run_until() before the next event. A subsequent run
+  /// resumes with the remaining queue.
+  void stop() noexcept { stopped_ = true; }
+  std::size_t pending() const noexcept { return heap_.size(); }
 
-  Backend backend() const noexcept { return backend_; }
-  unsigned shard_threads() const noexcept { return threads_; }
-
-  /// Conservative window width (also the calendar bucket width). Only
-  /// changeable while the queue is empty. Default 2 ms.
-  void set_lookahead(util::SimTime lookahead);
-  util::SimTime lookahead() const noexcept { return lookahead_; }
-
-  /// Events executed since construction (both backends).
+  /// Events executed since construction.
   std::uint64_t events_executed() const noexcept { return executed_; }
-  /// Windows that actually ran on the worker pool (diagnostics).
-  std::uint64_t parallel_windows() const noexcept { return parallel_windows_; }
 
  private:
   struct Event {
-    util::SimTime when;
-    std::uint64_t seq;
-    StrandId strand;
     std::uint32_t code;  // kCallbackCode for cb events
     std::uint64_t a, b;
     Callback cb;
@@ -150,85 +90,23 @@ class EventLoop {
     }
   };
 
-  /// A child event staged by a worker during a parallel window; the merge
-  /// barrier turns these into real slab events with properly ordered seqs.
-  struct Staged {
-    util::SimTime when;
-    StrandId strand;
-    std::uint32_t code;
-    std::uint64_t a, b;
-    Callback cb;
-  };
-
-  // Per-worker context while executing a parallel window (thread-local).
-  struct ExecContext {
-    EventLoop* loop = nullptr;
-    util::SimTime now = 0;
-    util::SimTime min_child_when = 0;
-    std::vector<Staged>* staged = nullptr;
-  };
-  static thread_local ExecContext* tls_ctx_;
-
-  void schedule_callback(util::SimTime when, StrandId strand, Callback cb);
-  void insert(util::SimTime when, StrandId strand, std::uint32_t code,
-              std::uint64_t a, std::uint64_t b, Callback cb);
-  void insert_entry(HeapEntry entry);
-  void execute(std::uint32_t slot);
-  void dispatch(const Event& event);
-
-  // 4-ary heap (serial backend).
+  void insert(util::SimTime when, std::uint32_t code, std::uint64_t a,
+              std::uint64_t b, Callback cb);
+  void execute(HeapEntry entry);
+  /// Execute events at or before `deadline` until the queue runs dry there
+  /// or stop() is called.
+  void drain(util::SimTime deadline);
   void heap_push(HeapEntry entry);
   HeapEntry heap_pop();
 
-  // Calendar queue (sharded backend).
-  std::uint64_t bucket_of(util::SimTime when) const noexcept {
-    return static_cast<std::uint64_t>(when) / static_cast<std::uint64_t>(lookahead_);
-  }
-  std::vector<std::uint32_t>& ring_slot(std::uint64_t bucket) noexcept {
-    return ring_[bucket & (ring_.size() - 1)];
-  }
-  void drain_overflow(std::uint64_t upto_bucket);
-  /// True if any event is pending at or before `deadline`; sets
-  /// `next_bucket` to the first non-empty bucket.
-  bool find_next_bucket(util::SimTime deadline, std::uint64_t* next_bucket);
-  void run_bucket_serial(std::uint64_t bucket, util::SimTime deadline);
-  void run_bucket_parallel(std::vector<HeapEntry>& entries);
-  void run_until_sharded(util::SimTime deadline);
-  void run_until_serial(util::SimTime deadline);
-  bool stop_requested() const noexcept {
-    return stopped_.load(std::memory_order_relaxed);
-  }
-
-  Backend backend_;
-  unsigned threads_;
-  util::SimTime lookahead_ = 2 * util::kMillisecond;
-
   util::Slab<Event> events_;
-  std::vector<HeapEntry> heap_;           // serial backend
-  std::vector<std::vector<std::uint32_t>> ring_;  // sharded backend
-  std::vector<HeapEntry> overflow_;       // beyond-ring-horizon events (heap)
-  std::uint64_t ring_floor_bucket_ = 0;   // buckets below this are done
-  std::size_t pending_ = 0;
-
-  // While run_bucket_serial drains a bucket, same-bucket insertions go
-  // straight into its working heap so intra-bucket causality is exact.
-  std::vector<HeapEntry> bucket_heap_;
-  std::uint64_t bucket_active_id_ = 0;
-  bool bucket_active_ = false;
-
+  std::vector<HeapEntry> heap_;
   std::vector<CodeHandler> codes_;
-  std::unique_ptr<util::ThreadPool> pool_;
-
-  // Scratch reused across windows to avoid per-window churn.
-  std::vector<HeapEntry> window_;
-  std::vector<std::vector<std::uint32_t>> group_order_;  // per worker: window indexes
-  std::vector<std::vector<std::vector<Staged>>> staged_;  // [worker][local idx]
 
   util::SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::uint64_t parallel_windows_ = 0;
-  std::atomic<bool> stopped_{false};
+  bool stopped_ = false;
 };
 
 }  // namespace bcwan::p2p

@@ -85,7 +85,7 @@ void SimNet::send(HostId from, HostId to, Message msg) {
   msg.from = from;
   const util::SimTime arrival = loop_.now() + latency_between(from, to);
   const auto slot = inflight_.acquire(Inflight{std::move(msg), to});
-  loop_.post(arrival, kSerialStrand, arrive_code_, slot);
+  loop_.post(arrival, arrive_code_, slot);
 }
 
 void SimNet::on_arrive(std::uint64_t slot, std::uint64_t) {
@@ -95,7 +95,7 @@ void SimNet::on_arrive(std::uint64_t slot, std::uint64_t) {
   Host& host = hosts_.at(static_cast<std::size_t>(inflight_.get(idx).to));
   const util::SimTime start = std::max(loop_.now(), host.busy_until);
   host.busy_until = start + host.processing_time;
-  loop_.post(start, kSerialStrand, process_code_, slot);
+  loop_.post(start, process_code_, slot);
 }
 
 void SimNet::on_process(std::uint64_t slot, std::uint64_t) {

@@ -16,16 +16,12 @@ std::uint64_t stream_word(std::uint64_t kind, std::uint64_t entity) noexcept {
   return kind << 40 | entity;
 }
 
+/// Earliest virtual time of a sensor's opening report.
+constexpr util::SimTime kFirstReportFloor = 5 * util::kMillisecond;
+
 }  // namespace
 
-CityEngine::CityEngine(CityConfig config)
-    : config_(config), loop_() {
-  register_handlers();
-}
-
-CityEngine::CityEngine(CityConfig config, p2p::EventLoop::Backend backend,
-                       unsigned threads)
-    : config_(config), loop_(backend, threads) {
+CityEngine::CityEngine(CityConfig config) : config_(config) {
   register_handlers();
 }
 
@@ -34,11 +30,6 @@ void CityEngine::register_handlers() {
       config_.recipients == 0) {
     throw std::invalid_argument("CityEngine: empty population");
   }
-  if (util::from_millis(config_.wan_floor_ms) < config_.lookahead) {
-    throw std::invalid_argument(
-        "CityEngine: WAN floor below the lookahead window");
-  }
-  loop_.set_lookahead(config_.lookahead);
 
   start_us_.assign(config_.sensors, 0);
   cipher_.assign(config_.sensors, crypto::AesBlock{});
@@ -58,18 +49,6 @@ void CityEngine::register_handlers() {
       [this](std::uint64_t a, std::uint64_t b) { on_offer_seen(a, b); });
   code_reveal_seen_ = loop_.register_code(
       [this](std::uint64_t a, std::uint64_t b) { on_reveal_seen(a, b); });
-}
-
-p2p::StrandId CityEngine::sensor_strand(std::uint32_t sensor) const noexcept {
-  // A sensor's LoRa hop terminates at its gateway: share the strand.
-  return static_cast<p2p::StrandId>(gateway_of(sensor) % kStrandsPerClass);
-}
-
-p2p::StrandId CityEngine::recipient_strand(
-    std::uint32_t sensor) const noexcept {
-  const std::uint32_t recipient = sensor % config_.recipients;
-  return static_cast<p2p::StrandId>(kStrandsPerClass +
-                                    recipient % kStrandsPerClass);
 }
 
 util::SimTime CityEngine::sample_exp(Stream stream, std::uint32_t entity,
@@ -125,69 +104,66 @@ crypto::Digest256 CityEngine::envelope_tag(
 }
 
 // ---- protocol phases --------------------------------------------------------
-// Each handler runs on the strand noted; (a, b) = (sensor, nonce). All
-// scheduling delays are >= the lookahead window by construction: airtimes
-// are ~100 ms, the WAN floor is validated against the lookahead, settlement
-// and report intervals are seconds.
+// Each handler runs at the party noted; (a, b) = (sensor, nonce).
 
 void CityEngine::on_report_due(std::uint64_t sensor, std::uint64_t nonce) {
-  // Sensor strand. The device wakes, requests an ephemeral key (ePk) over
+  // Sensor. The device wakes, requests an ephemeral key (ePk) over
   // LoRa; the request reaches the gateway after the uplink airtime.
   const auto s = static_cast<std::uint32_t>(sensor);
   start_us_[s] = loop_.now();
   loop_.post(loop_.now() + util::from_millis(config_.uplink_airtime_ms),
-             sensor_strand(s), code_epk_req_, sensor, nonce);
+             code_epk_req_, sensor, nonce);
 }
 
 void CityEngine::on_epk_req(std::uint64_t sensor, std::uint64_t nonce) {
-  // Gateway strand (same as the sensor's). The gateway generates the
-  // RSA-512 ephemeral pair — a modeled service time — and downlinks ePk.
+  // Gateway. The gateway generates the RSA-512 ephemeral pair — a modeled
+  // service time — and downlinks ePk.
   const auto s = static_cast<std::uint32_t>(sensor);
   const util::SimTime keygen =
       sample_exp(kStreamKeygen, gateway_of(s), nonce, config_.keygen_mean_ms);
   loop_.post(loop_.now() + keygen +
                  util::from_millis(config_.downlink_airtime_ms),
-             sensor_strand(s), code_epk_got_, sensor, nonce);
+             code_epk_got_, sensor, nonce);
 }
 
 void CityEngine::on_epk_got(std::uint64_t sensor, std::uint64_t nonce) {
-  // Sensor strand. Real crypto: the reading is AES-256 encrypted under the
+  // Sensor. Real crypto: the reading is AES-256 encrypted under the
   // provisioned key (the ePk wrap of K is part of the modeled keygen cost).
   const auto s = static_cast<std::uint32_t>(sensor);
   const crypto::Aes256 aes(sensor_key(s));
   cipher_[s] = aes.encrypt_block(reading_for(s, nonce));
   loop_.post(loop_.now() + util::from_millis(config_.uplink_airtime_ms),
-             sensor_strand(s), code_data_arrive_, sensor, nonce);
+             code_data_arrive_, sensor, nonce);
 }
 
 void CityEngine::on_data_arrive(std::uint64_t sensor, std::uint64_t nonce) {
-  // Gateway strand. The gateway seals the envelope — a real SHA-256 tag
-  // over (ciphertext, sensor, nonce) — and forwards DELIVER across the WAN
-  // to the recipient's host (cross-strand hop; WAN floor >= lookahead).
+  // Gateway. The gateway seals the envelope — a real SHA-256 tag over
+  // (ciphertext, sensor, nonce) — and forwards DELIVER across the WAN to
+  // the recipient's host.
   const auto s = static_cast<std::uint32_t>(sensor);
   tag_[s] = envelope_tag(s, nonce, cipher_[s]);
   loop_.post(loop_.now() + sample_wan(kStreamWanDeliver, s, nonce),
-             recipient_strand(s), code_deliver_, sensor, nonce);
+             code_deliver_, sensor, nonce);
 }
 
 void CityEngine::on_deliver(std::uint64_t sensor, std::uint64_t nonce) {
-  // Recipient strand. Verify the envelope tag (recompute and compare),
+  // Recipient. Verify the envelope tag (recompute and compare),
   // then post the payment offer on-chain: WAN to the chain plus the
   // memoryless wait for the next block.
   const auto s = static_cast<std::uint32_t>(sensor);
   if (envelope_tag(s, nonce, cipher_[s]) != tag_[s]) {
-    verify_failures_.fetch_add(1, std::memory_order_relaxed);
+    ++verify_failures_;
     return;
   }
   const util::SimTime settle = sample_exp(
       kStreamSettleOffer, s, nonce,
       util::to_millis(config_.block_interval));
   loop_.post(loop_.now() + sample_wan(kStreamWanOffer, s, nonce) + settle,
-             sensor_strand(s), code_offer_seen_, sensor, nonce);
+             code_offer_seen_, sensor, nonce);
 }
 
 void CityEngine::on_offer_seen(std::uint64_t sensor, std::uint64_t nonce) {
-  // Gateway strand. The gateway sees the confirmed offer and reveals eSk
+  // Gateway. The gateway sees the confirmed offer and reveals eSk
   // (redeems the offer); the recipient sees the reveal one settlement
   // later.
   const auto s = static_cast<std::uint32_t>(sensor);
@@ -195,40 +171,33 @@ void CityEngine::on_offer_seen(std::uint64_t sensor, std::uint64_t nonce) {
       kStreamSettleReveal, s, nonce,
       util::to_millis(config_.block_interval));
   loop_.post(loop_.now() + sample_wan(kStreamWanReveal, s, nonce) + settle,
-             recipient_strand(s), code_reveal_seen_, sensor, nonce);
+             code_reveal_seen_, sensor, nonce);
 }
 
 void CityEngine::on_reveal_seen(std::uint64_t sensor, std::uint64_t nonce) {
-  // Recipient strand. Real crypto closes the loop: decrypt the ciphertext
+  // Recipient. Real crypto closes the loop: decrypt the ciphertext
   // with the provisioned key and compare against the expected reading.
   const auto s = static_cast<std::uint32_t>(sensor);
   const crypto::Aes256 aes(sensor_key(s));
   const crypto::AesBlock plain = aes.decrypt_block(cipher_[s]);
   if (plain != reading_for(s, nonce)) {
-    verify_failures_.fetch_add(1, std::memory_order_relaxed);
+    ++verify_failures_;
     return;
   }
 
   const util::SimTime now = loop_.now();
   const auto latency = static_cast<std::uint64_t>(now - start_us_[s]);
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  latency_sum_us_.fetch_add(latency, std::memory_order_relaxed);
-  // CAS min/max: exact and order-free.
-  std::uint64_t cur = latency_min_us_.load(std::memory_order_relaxed);
-  while (latency < cur && !latency_min_us_.compare_exchange_weak(
-                              cur, latency, std::memory_order_relaxed)) {
-  }
-  cur = latency_max_us_.load(std::memory_order_relaxed);
-  while (latency > cur && !latency_max_us_.compare_exchange_weak(
-                              cur, latency, std::memory_order_relaxed)) {
-  }
+  ++completed_;
+  latency_sum_us_ += latency;
+  latency_min_us_ = std::min(latency_min_us_, latency);
+  latency_max_us_ = std::max(latency_max_us_, latency);
   // Commutative trace digest: wrapping add of a full-avalanche mix over
   // the exchange identity and outcome. Identical sets of completions give
-  // identical digests regardless of execution interleaving.
+  // identical digests regardless of completion order.
   const std::uint64_t h = util::mix64(
       util::mix64(sensor ^ nonce * 0x9e3779b97f4a7c15ULL) ^
       util::mix64(static_cast<std::uint64_t>(now)) ^ latency);
-  digest_.fetch_add(h, std::memory_order_relaxed);
+  digest_ += h;
 
   if (telemetry::enabled()) {
     auto& reg = telemetry::registry();
@@ -240,18 +209,16 @@ void CityEngine::on_reveal_seen(std::uint64_t sensor, std::uint64_t nonce) {
         .observe(static_cast<double>(latency) / 1e6);
   }
   if (config_.keep_trace) {
-    const std::lock_guard<std::mutex> lock(trace_mutex_);
     trace_.push_back(CityTraceRecord{s, nonce, now,
                                      static_cast<util::SimTime>(latency)});
   }
 
-  // Next report: exponential think time, clamped well above the lookahead.
+  // Next report: exponential think time, clamped to at least a second.
   const util::SimTime interval = std::max<util::SimTime>(
       sample_exp(kStreamInterval, s, nonce,
                  util::to_millis(config_.report_interval_mean)),
       util::kSecond);
-  loop_.post(now + interval, sensor_strand(s), code_report_due_, sensor,
-             nonce + 1);
+  loop_.post(now + interval, code_report_due_, sensor, nonce + 1);
 }
 
 void CityEngine::run_for(util::SimTime duration) {
@@ -265,8 +232,8 @@ void CityEngine::run_for(util::SimTime duration) {
       const auto offset = static_cast<util::SimTime>(rng.below(
           static_cast<std::uint64_t>(
               std::max<util::SimTime>(config_.report_interval_mean, 1))));
-      loop_.post(loop_.now() + std::max(offset, config_.lookahead),
-                 sensor_strand(s), code_report_due_, s, 0);
+      loop_.post(loop_.now() + std::max(offset, kFirstReportFloor),
+                 code_report_due_, s, 0);
     }
   }
   loop_.run_until(deadline);
@@ -275,12 +242,10 @@ void CityEngine::run_for(util::SimTime duration) {
 double CityEngine::latency_mean_s() const noexcept {
   const std::uint64_t n = latency_count();
   if (n == 0) return 0.0;
-  return static_cast<double>(latency_sum_us_.load(std::memory_order_relaxed)) /
-         (1e6 * static_cast<double>(n));
+  return static_cast<double>(latency_sum_us_) / (1e6 * static_cast<double>(n));
 }
 
 std::vector<CityTraceRecord> CityEngine::sorted_trace() const {
-  const std::lock_guard<std::mutex> lock(trace_mutex_);
   std::vector<CityTraceRecord> out = trace_;
   std::sort(out.begin(), out.end(),
             [](const CityTraceRecord& a, const CityTraceRecord& b) {

@@ -21,23 +21,14 @@
 //     delivery, and an AES decrypt + plaintext comparison at completion.
 //   * Every random draw comes from util::Rng::substream(seed, stream,
 //     nonce) — a stateless derivation from the exchange's identity, so
-//     samples do not depend on global draw order and the simulation is
-//     bit-identical across backends and worker counts.
-//   * Strand ownership: a sensor shares its gateway's strand (the LoRa hop
-//     is strand-local); recipients live on a disjoint strand block. Every
-//     cross-strand hop rides a delay >= the lookahead window (WAN floor,
-//     settlement), which is what lets the sharded EventLoop run whole
-//     buckets of exchanges concurrently.
-//   * Results stream: latency is accumulated in integer microseconds with
-//     atomic counters (exact, associative, thread-count independent), the
-//     trace digest is a commutative (wrapping-add) hash over completed
-//     exchanges, and telemetry histograms/counters take the place of
-//     unbounded record vectors.
+//     samples do not depend on global draw order.
+//   * Results stream: latency is accumulated in integer microseconds
+//     (exact), the trace digest is a commutative (wrapping-add) hash over
+//     completed exchanges, and telemetry histograms/counters take the place
+//     of unbounded record vectors.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "crypto/aes.hpp"
@@ -54,10 +45,6 @@ struct CityConfig {
   std::uint32_t recipients = 1000;
   std::uint64_t seed = 1;
 
-  /// Conservative lookahead (= calendar bucket width). Every modeled delay
-  /// below must stay >= this.
-  util::SimTime lookahead = 5 * util::kMillisecond;
-
   /// Mean inter-report interval per sensor (exponential, clamped >= 1 s).
   util::SimTime report_interval_mean = 30 * util::kSecond;
 
@@ -70,7 +57,6 @@ struct CityConfig {
   double keygen_mean_ms = 60.0;
 
   /// WAN one-way latency: lognormal(median, sigma) clamped to the floor.
-  /// The floor must stay >= lookahead (cross-strand hops ride the WAN).
   double wan_median_ms = 45.0;
   double wan_sigma = 0.35;
   double wan_floor_ms = 6.0;
@@ -97,48 +83,29 @@ struct CityTraceRecord {
 
 class CityEngine {
  public:
-  /// Backend/threads from BCWAN_SIM_BACKEND / BCWAN_SIM_THREADS.
   explicit CityEngine(CityConfig config);
-  CityEngine(CityConfig config, p2p::EventLoop::Backend backend,
-             unsigned threads);
 
   /// Seed every sensor's first report (staggered across one mean interval)
-  /// and run the federation for `duration` of virtual time. Running for a
-  /// fixed virtual duration — rather than to an exchange count — keeps the
-  /// executed event set identical across backends and thread counts.
+  /// and run the federation for `duration` of virtual time.
   void run_for(util::SimTime duration);
 
-  std::uint64_t exchanges_completed() const noexcept {
-    return completed_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t exchanges_completed() const noexcept { return completed_; }
   /// Envelope-tag or decrypt mismatches (must be zero).
-  std::uint64_t verify_failures() const noexcept {
-    return verify_failures_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t verify_failures() const noexcept { return verify_failures_; }
   /// Commutative digest over all completed exchanges: equal digests across
   /// two runs mean the same exchanges finished at the same virtual times
   /// with the same latencies.
-  std::uint64_t trace_digest() const noexcept {
-    return digest_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t trace_digest() const noexcept { return digest_; }
 
   // Exact integer latency aggregates (microseconds of virtual time).
-  std::uint64_t latency_count() const noexcept {
-    return completed_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t latency_sum_us() const noexcept {
-    return latency_sum_us_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t latency_min_us() const noexcept {
-    return latency_min_us_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t latency_max_us() const noexcept {
-    return latency_max_us_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t latency_count() const noexcept { return completed_; }
+  std::uint64_t latency_sum_us() const noexcept { return latency_sum_us_; }
+  std::uint64_t latency_min_us() const noexcept { return latency_min_us_; }
+  std::uint64_t latency_max_us() const noexcept { return latency_max_us_; }
   double latency_mean_s() const noexcept;
 
   /// Sorted copy of the retained trace (keep_trace runs only): deterministic
-  /// ordering for cross-backend comparison.
+  /// ordering for run-to-run comparison.
   std::vector<CityTraceRecord> sorted_trace() const;
 
   p2p::EventLoop& loop() noexcept { return loop_; }
@@ -157,11 +124,7 @@ class CityEngine {
     kStreamStagger = 8,
   };
 
-  static constexpr std::uint32_t kStrandsPerClass = 128;
-
   void register_handlers();
-  p2p::StrandId sensor_strand(std::uint32_t sensor) const noexcept;
-  p2p::StrandId recipient_strand(std::uint32_t sensor) const noexcept;
   std::uint32_t gateway_of(std::uint32_t sensor) const noexcept {
     return sensor % config_.gateways;
   }
@@ -196,22 +159,20 @@ class CityEngine {
   std::uint32_t code_offer_seen_ = 0;
   std::uint32_t code_reveal_seen_ = 0;
 
-  // Per-sensor in-flight exchange state. A sensor runs one exchange at a
-  // time and its phases are ordered across lookahead windows, so each row
-  // is only ever touched by one worker per window (no locks needed).
+  // Per-sensor in-flight exchange state (a sensor runs one exchange at a
+  // time).
   std::vector<util::SimTime> start_us_;
   std::vector<crypto::AesBlock> cipher_;
   std::vector<crypto::Digest256> tag_;
 
-  // Streamed results: exact, commutative, thread-count independent.
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> verify_failures_{0};
-  std::atomic<std::uint64_t> digest_{0};
-  std::atomic<std::uint64_t> latency_sum_us_{0};
-  std::atomic<std::uint64_t> latency_min_us_{~std::uint64_t{0}};
-  std::atomic<std::uint64_t> latency_max_us_{0};
+  // Streamed results.
+  std::uint64_t completed_ = 0;
+  std::uint64_t verify_failures_ = 0;
+  std::uint64_t digest_ = 0;
+  std::uint64_t latency_sum_us_ = 0;
+  std::uint64_t latency_min_us_ = ~std::uint64_t{0};
+  std::uint64_t latency_max_us_ = 0;
 
-  mutable std::mutex trace_mutex_;
   std::vector<CityTraceRecord> trace_;
 };
 

@@ -1,14 +1,11 @@
-// Cross-backend determinism gates for the city-scale engine (DESIGN.md §14)
-// plus the Scenario's streamed-stats / keep_records contract.
+// Determinism gates for the city-scale engine (DESIGN.md §14) plus the
+// Scenario's streamed-stats / keep_records contract.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <stdexcept>
-#include <tuple>
-
 #include "sim/citysim.hpp"
 #include "sim/scenario.hpp"
+#include "util/bytes.hpp"
 
 namespace bcwan::sim {
 namespace {
@@ -23,60 +20,25 @@ CityConfig small_city() {
   return config;
 }
 
-struct CityRun {
-  std::uint64_t exchanges;
-  std::uint64_t digest;
-  std::uint64_t verify_failures;
-  std::uint64_t sum_us, min_us, max_us;
-  std::uint64_t parallel_windows;
-  std::vector<CityTraceRecord> trace;
-};
-
-CityRun run_city(p2p::EventLoop::Backend backend, unsigned threads) {
-  CityEngine engine(small_city(), backend, threads);
+// Golden pins: the exact outcome of small_city() over 90 virtual seconds.
+// Any change to event ordering, RNG substreams or the crypto data path
+// moves at least one of these.
+TEST(CityEngine, GoldenTracePinned) {
+  CityEngine engine(small_city());
   engine.run_for(90 * util::kSecond);
-  return CityRun{engine.exchanges_completed(),
-                 engine.trace_digest(),
-                 engine.verify_failures(),
-                 engine.latency_sum_us(),
-                 engine.latency_min_us(),
-                 engine.latency_max_us(),
-                 engine.loop().parallel_windows(),
-                 engine.sorted_trace()};
-}
-
-// The tentpole contract: serial and sharded backends (at several worker
-// counts) complete the identical exchange set — same digest, same exact
-// latency aggregates, same full trace.
-TEST(CityEngine, BackendsProduceIdenticalTraces) {
-  const CityRun serial = run_city(p2p::EventLoop::Backend::kSerial, 1);
-  ASSERT_GT(serial.exchanges, 100u);
-  EXPECT_EQ(serial.verify_failures, 0u);
-  EXPECT_EQ(serial.parallel_windows, 0u);
-  EXPECT_EQ(serial.trace.size(), serial.exchanges);
-
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    const CityRun sharded = run_city(p2p::EventLoop::Backend::kSharded,
-                                     threads);
-    EXPECT_EQ(sharded.exchanges, serial.exchanges) << threads << " threads";
-    EXPECT_EQ(sharded.digest, serial.digest) << threads << " threads";
-    EXPECT_EQ(sharded.verify_failures, 0u);
-    EXPECT_EQ(sharded.sum_us, serial.sum_us) << threads << " threads";
-    EXPECT_EQ(sharded.min_us, serial.min_us);
-    EXPECT_EQ(sharded.max_us, serial.max_us);
-    EXPECT_EQ(sharded.trace, serial.trace) << threads << " threads";
-    if (threads > 1) {
-      // The dense city must actually exercise the worker-pool path —
-      // otherwise this test silently degrades to serial-vs-serial.
-      EXPECT_GT(sharded.parallel_windows, 0u) << threads << " threads";
-    }
-  }
+  EXPECT_EQ(engine.exchanges_completed(), 1715u);
+  EXPECT_EQ(engine.trace_digest(), 8022693014802464047ull);
+  EXPECT_EQ(engine.verify_failures(), 0u);
+  EXPECT_EQ(engine.latency_sum_us(), 43432422389ull);
+  EXPECT_EQ(engine.latency_min_us(), 662366u);
+  EXPECT_EQ(engine.latency_max_us(), 83659765u);
+  EXPECT_EQ(engine.sorted_trace().size(), 1715u);
 }
 
 TEST(CityEngine, RealCryptoPipelineVerifies) {
   CityConfig config = small_city();
   config.sensors = 300;
-  CityEngine engine(config, p2p::EventLoop::Backend::kSerial, 1);
+  CityEngine engine(config);
   engine.run_for(60 * util::kSecond);
   EXPECT_GT(engine.exchanges_completed(), 0u);
   // Every AES decrypt matched its plaintext and every SHA-256 envelope tag
@@ -90,41 +52,26 @@ TEST(CityEngine, RealCryptoPipelineVerifies) {
           static_cast<double>(engine.exchanges_completed()));
 }
 
-TEST(CityEngine, RejectsConfigBreakingLookahead) {
-  CityConfig config = small_city();
-  config.wan_floor_ms = 1.0;  // below the 5 ms lookahead window
-  EXPECT_THROW(CityEngine(config, p2p::EventLoop::Backend::kSharded, 2),
-               std::invalid_argument);
-}
-
-// The full-stack Scenario (real agents, RSA, chain) must settle on the same
-// chain under both backends — its traffic is serial-strand, so the sharded
-// loop must preserve exact legacy ordering.
-TEST(Scenario, ChainTipsEqualAcrossBackends) {
-  const auto fingerprint = [](const char* backend) {
-    setenv("BCWAN_SIM_BACKEND", backend, 1);
-    ScenarioConfig config;
-    config.actors = 2;
-    config.sensors_per_actor = 3;
-    config.seed = 5;
-    Scenario scenario(config);
-    scenario.bootstrap();
-    scenario.run_exchanges(4, 20 * util::kMinute);
-    unsetenv("BCWAN_SIM_BACKEND");
-    return std::tuple(scenario.master_node().chain().tip_hash(),
-                      scenario.master_node().chain().height(),
-                      scenario.exchanges_completed());
-  };
-  const auto serial = fingerprint("serial");
-  const auto sharded = fingerprint("sharded");
-  EXPECT_GE(std::get<2>(serial), 4u);
-  EXPECT_EQ(serial, sharded);
+// Golden pin for the full-stack Scenario (real agents, RSA, chain): the
+// chain it settles on is fixed by the seed.
+TEST(Scenario, GoldenChainTipPinned) {
+  ScenarioConfig config;
+  config.actors = 2;
+  config.sensors_per_actor = 3;
+  config.seed = 5;
+  Scenario scenario(config);
+  scenario.bootstrap();
+  scenario.run_exchanges(4, 20 * util::kMinute);
+  const auto& chain = scenario.master_node().chain();
+  EXPECT_EQ(util::to_hex(chain.tip_hash()),
+            "0000fa767307a60e10b2078a5a52d6a72a2dd34557d38f6351cfdcc90c256239");
+  EXPECT_EQ(chain.height(), 18);
+  EXPECT_EQ(scenario.exchanges_completed(), 4u);
 }
 
 // keep_records caps the retained per-exchange material while the streamed
 // statistics keep covering every completion.
 TEST(Scenario, KeepRecordsCapsRetainedSamples) {
-  setenv("BCWAN_SIM_BACKEND", "serial", 1);
   ScenarioConfig config;
   config.actors = 2;
   config.sensors_per_actor = 3;
@@ -133,7 +80,6 @@ TEST(Scenario, KeepRecordsCapsRetainedSamples) {
   Scenario scenario(config);
   scenario.bootstrap();
   scenario.run_exchanges(8, 40 * util::kMinute);
-  unsetenv("BCWAN_SIM_BACKEND");
 
   ASSERT_GE(scenario.exchanges_completed(), 8u);
   EXPECT_EQ(scenario.records().size(), 3u);

@@ -121,6 +121,26 @@ TEST(EventLoop, RunUntilAdvancesClockToDeadline) {
   EXPECT_EQ(loop.now(), 300);
 }
 
+// stop() inside run_until() must not jump the clock past events that are
+// still queued before the deadline: the next run executes them, and the
+// clock would otherwise move backwards.
+TEST(EventLoop, RunUntilAfterStopKeepsClockMonotone) {
+  EventLoop loop;
+  std::vector<SimTime> seen;
+  loop.at(10, [&] {
+    seen.push_back(loop.now());
+    loop.stop();
+  });
+  loop.at(20, [&] { seen.push_back(loop.now()); });
+  loop.run_until(100);
+  EXPECT_EQ(loop.now(), 10);
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.run_until(100);
+  EXPECT_EQ(loop.now(), 100);
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_EQ(seen, (std::vector<SimTime>{10, 20}));
+}
+
 TEST(EventLoop, CodedEventsDispatchWithPayloadWords) {
   EventLoop loop;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> seen;
@@ -128,8 +148,8 @@ TEST(EventLoop, CodedEventsDispatchWithPayloadWords) {
       loop.register_code([&](std::uint64_t a, std::uint64_t b) {
         seen.emplace_back(a, b);
       });
-  loop.post(20, kSerialStrand, code, 7, 8);
-  loop.post(10, kSerialStrand, code, 5, 6);
+  loop.post(20, code, 7, 8);
+  loop.post(10, code, 5, 6);
   loop.run();
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], std::make_pair(std::uint64_t{5}, std::uint64_t{6}));
@@ -144,121 +164,11 @@ TEST(EventLoop, CodedAndCallbackEventsInterleaveBySeq) {
       [&](std::uint64_t a, std::uint64_t) { order.push_back(static_cast<int>(a)); });
   // Same timestamp: insertion order must hold across both event flavors.
   loop.at(42, [&] { order.push_back(0); });
-  loop.post(42, kSerialStrand, code, 1);
+  loop.post(42, code, 1);
   loop.at(42, [&] { order.push_back(2); });
-  loop.post(42, kSerialStrand, code, 3);
+  loop.post(42, code, 3);
   loop.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-// A serial-strand workload (nested scheduling, equal timestamps, coded and
-// callback events) must execute in the identical order under both backends.
-TEST(EventLoop, ShardedBackendMatchesSerialOnSerialWorkload) {
-  const auto trace_for = [](EventLoop::Backend backend) {
-    EventLoop loop(backend, 4);
-    std::vector<std::pair<SimTime, std::uint64_t>> trace;
-    const std::uint32_t code =
-        loop.register_code([&](std::uint64_t a, std::uint64_t) {
-          trace.emplace_back(loop.now(), a);
-        });
-    util::Rng rng(99);
-    for (int i = 0; i < 50; ++i) {
-      const SimTime when = static_cast<SimTime>(rng.next() % 21) *
-                           kMillisecond / 2;
-      loop.post(when, kSerialStrand, code, static_cast<std::uint64_t>(i));
-    }
-    // Nested re-scheduling off a few of the originals.
-    loop.at(5 * kMillisecond, [&, code] {
-      trace.emplace_back(loop.now(), 1000);
-      loop.after(3 * kMillisecond, [&, code] {
-        trace.emplace_back(loop.now(), 1001);
-        loop.post(loop.now(), kSerialStrand, code, 1002);
-      });
-    });
-    loop.run();
-    return trace;
-  };
-  const auto serial = trace_for(EventLoop::Backend::kSerial);
-  const auto sharded = trace_for(EventLoop::Backend::kSharded);
-  ASSERT_EQ(serial.size(), 53u);
-  EXPECT_EQ(serial, sharded);
-}
-
-// Parallel-strand events scheduling children at >= when + lookahead() run
-// through real worker-pool windows and still produce the serial trace.
-TEST(EventLoop, ParallelWindowsReproduceSerialTrace) {
-  constexpr int kStrands = 4;
-  constexpr int kRounds = 6;
-  constexpr int kPerStrand = 8;
-  const auto trace_for = [&](EventLoop::Backend backend, unsigned threads,
-                             std::uint64_t* windows) {
-    EventLoop loop(backend, threads);
-    // Strand-local recording (no cross-strand writes inside a window);
-    // merged deterministically afterwards.
-    std::vector<std::vector<std::pair<SimTime, std::uint64_t>>> per_strand(
-        kStrands);
-    std::uint32_t code = 0;
-    code = loop.register_code([&](std::uint64_t strand, std::uint64_t round) {
-      per_strand[strand].emplace_back(loop.now(), round);
-      if (round + 1 < kRounds) {
-        loop.post(loop.now() + loop.lookahead(),
-                  static_cast<StrandId>(strand), code, strand, round + 1);
-      }
-    });
-    for (int s = 0; s < kStrands; ++s) {
-      for (int i = 0; i < kPerStrand; ++i) {
-        loop.post(s * 100 + i * 7, static_cast<StrandId>(s), code,
-                  static_cast<std::uint64_t>(s), 0);
-      }
-    }
-    loop.run();
-    *windows = loop.parallel_windows();
-    std::vector<std::pair<SimTime, std::uint64_t>> merged;
-    for (int s = 0; s < kStrands; ++s) {
-      for (const auto& entry : per_strand[s])
-        merged.emplace_back(entry.first, entry.second * kStrands + s);
-    }
-    std::sort(merged.begin(), merged.end());
-    return merged;
-  };
-  std::uint64_t serial_windows = 0, sharded_windows = 0;
-  const auto serial =
-      trace_for(EventLoop::Backend::kSerial, 1, &serial_windows);
-  const auto sharded =
-      trace_for(EventLoop::Backend::kSharded, 4, &sharded_windows);
-  ASSERT_EQ(serial.size(),
-            static_cast<std::size_t>(kStrands * kPerStrand * kRounds));
-  EXPECT_EQ(serial, sharded);
-  EXPECT_EQ(serial_windows, 0u);
-  EXPECT_GT(sharded_windows, 0u);  // the pool path actually ran
-}
-
-// The conservative-lookahead contract is enforced: a parallel-strand event
-// may not schedule a child inside its own window.
-TEST(EventLoop, LookaheadViolationThrows) {
-  EventLoop loop(EventLoop::Backend::kSharded, 2);
-  const std::uint32_t noop = loop.register_code([](std::uint64_t,
-                                                   std::uint64_t) {});
-  std::uint32_t violator = 0;
-  violator = loop.register_code([&](std::uint64_t, std::uint64_t) {
-    // Child closer than lookahead(): reaches back inside the window.
-    loop.post(loop.now() + 1, 0, noop, 0, 0);
-  });
-  // A dense, fully parallel bucket across two strand groups so the window
-  // really goes through the pool (>= 8 events, >= 2 groups).
-  for (int i = 0; i < 12; ++i)
-    loop.post(100 + i, static_cast<StrandId>(i % 2),
-              i == 6 ? violator : noop, 0, 0);
-  EXPECT_THROW(loop.run(), std::logic_error);
-}
-
-TEST(EventLoop, SetLookaheadRejectsPendingEvents) {
-  EventLoop loop(EventLoop::Backend::kSharded, 2);
-  EXPECT_THROW(loop.set_lookahead(0), std::invalid_argument);
-  loop.set_lookahead(5 * kMillisecond);
-  EXPECT_EQ(loop.lookahead(), 5 * kMillisecond);
-  loop.at(10, [] {});
-  EXPECT_THROW(loop.set_lookahead(kMillisecond), std::logic_error);
 }
 
 TEST(SimNet, DeliversWithLatency) {
