@@ -268,6 +268,14 @@ std::pair<BigUint, BigUint> BigUint::divmod(const BigUint& a, const BigUint& b) 
   return {std::move(q), std::move(r)};
 }
 
+std::uint32_t BigUint::mod_u32(std::uint32_t d) const {
+  if (d == 0) throw std::domain_error("BigUint: division by zero");
+  std::uint64_t rem = 0;
+  for (std::size_t i = limbs_.size(); i-- > 0;)
+    rem = ((rem << 32) | limbs_[i]) % d;
+  return static_cast<std::uint32_t>(rem);
+}
+
 BigUint operator/(const BigUint& a, const BigUint& b) {
   return BigUint::divmod(a, b).first;
 }

@@ -78,6 +78,10 @@ class BigUint {
   friend BigUint operator<<(const BigUint& a, std::size_t b) { return a.shl(b); }
   friend BigUint operator>>(const BigUint& a, std::size_t b) { return a.shr(b); }
 
+  /// Remainder by a machine word, without allocating. Throws
+  /// std::domain_error on d == 0.
+  std::uint32_t mod_u32(std::uint32_t d) const;
+
   /// Quotient and remainder in one pass. Throws std::domain_error on b == 0.
   static std::pair<BigUint, BigUint> divmod(const BigUint& a, const BigUint& b);
 

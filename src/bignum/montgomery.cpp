@@ -1,21 +1,27 @@
 #include "bignum/montgomery.hpp"
 
+#include <array>
 #include <atomic>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 namespace bcwan::bignum {
 
 namespace {
 
+using u64 = std::uint64_t;
+using u128 = unsigned __int128;
+using Limbs = std::array<u64, MontgomeryCtx::kMaxLimbs>;
+
 std::atomic<bool> g_montgomery_enabled{true};
 
-/// Inverse of an odd 32-bit value mod 2^32 by Newton iteration: each step
-/// doubles the number of correct low bits; five steps from a 1-bit seed
-/// cover all 32.
-std::uint32_t inv32(std::uint32_t odd) {
-  std::uint32_t x = odd;  // correct to 3 bits for odd inputs
-  for (int i = 0; i < 4; ++i) x *= 2 - odd * x;
+/// Inverse of an odd 64-bit value mod 2^64 by Newton iteration: each step
+/// doubles the number of correct low bits; five steps from the 3-bit seed
+/// cover all 64.
+u64 inv64(u64 odd) {
+  u64 x = odd;  // correct to 3 bits for odd inputs
+  for (int i = 0; i < 5; ++i) x *= 2 - odd * x;
   return x;
 }
 
@@ -34,58 +40,91 @@ void set_montgomery_enabled(bool enabled) noexcept {
 MontgomeryCtx::MontgomeryCtx(const BigUint& modulus) : m_(modulus) {
   if (m_.is_zero() || m_.is_one() || m_.is_even())
     throw std::domain_error("MontgomeryCtx: modulus must be odd and > 1");
-  mod_limbs_ = m_.limbs_;
-  n0inv_ = ~inv32(mod_limbs_[0]) + 1;  // -m[0]^-1 mod 2^32
-  const std::size_t n = mod_limbs_.size();
-  r1_ = to_padded((BigUint(1) << (32 * n)) % m_);
-  r2_ = to_padded((BigUint(1) << (64 * n)) % m_);
+  n_ = (m_.limbs_.size() + 1) / 2;
+  if (n_ > kMaxLimbs)
+    throw std::domain_error("MontgomeryCtx: modulus too wide");
+  consts_.resize(3 * n_);
+  pack(m_, consts_.data());
+  n0inv_ = ~inv64(consts_[0]) + 1;  // -m[0]^-1 mod 2^64
+  pack((BigUint(1) << (64 * n_)) % m_, consts_.data() + n_);
+  pack((BigUint(1) << (128 * n_)) % m_, consts_.data() + 2 * n_);
 }
 
-std::vector<std::uint32_t> MontgomeryCtx::to_padded(const BigUint& v) const {
-  std::vector<std::uint32_t> out(mod_limbs_.size(), 0);
-  for (std::size_t i = 0; i < v.limbs_.size(); ++i) out[i] = v.limbs_[i];
-  return out;
+void MontgomeryCtx::pack(const BigUint& v, u64* out) const {
+  const std::vector<std::uint32_t>& l = v.limbs_;
+  for (std::size_t i = 0; i < n_; ++i) {
+    const u64 lo = 2 * i < l.size() ? l[2 * i] : 0;
+    const u64 hi = 2 * i + 1 < l.size() ? l[2 * i + 1] : 0;
+    out[i] = lo | hi << 32;
+  }
 }
 
-BigUint MontgomeryCtx::from_limbs(const std::uint32_t* v) const {
+void MontgomeryCtx::load(const BigUint& v, u64* out) const {
+  if (BigUint::compare(v, m_) >= 0) {
+    pack(v % m_, out);
+  } else {
+    pack(v, out);
+  }
+}
+
+BigUint MontgomeryCtx::store(const u64* v) const {
   BigUint out;
-  out.limbs_.assign(v, v + limbs());
+  out.limbs_.resize(2 * n_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    out.limbs_[2 * i] = static_cast<std::uint32_t>(v[i]);
+    out.limbs_[2 * i + 1] = static_cast<std::uint32_t>(v[i] >> 32);
+  }
   out.trim();
   return out;
 }
 
-void MontgomeryCtx::mont_mul(const std::uint32_t* a, const std::uint32_t* b,
-                             std::uint32_t* out, std::uint32_t* t) const {
-  // CIOS (Koç/Acar/Kaliski): interleave the a_i*b partial product with one
-  // Montgomery reduction step per outer iteration; t holds n+2 limbs and
-  // stays < 2m at the end, so one conditional subtract finishes.
-  const std::size_t n = limbs();
-  const std::uint32_t* m = mod_limbs_.data();
+bool MontgomeryCtx::equal(const u64* a, const u64* b) const {
+  for (std::size_t i = 0; i < n_; ++i) {
+    if (a[i] != b[i]) return false;
+  }
+  return true;
+}
+
+namespace {
+
+/// out = a * b * R^-1 mod m over n limbs (CIOS, Koç/Acar/Kaliski):
+/// interleave the a_i*b partial product with one Montgomery reduction step
+/// per outer iteration; t holds n+2 limbs and stays < 2m at the end, so one
+/// conditional subtract finishes. `out` may alias `a` or `b`. N > 0 fixes
+/// the limb count at compile time so the inner loops unroll; N == 0 reads
+/// it from `n_rt`.
+template <std::size_t N>
+void cios(const u64* a, const u64* b, u64* out, const u64* m, u64 n0inv,
+          std::size_t n_rt) {
+  const std::size_t n = N != 0 ? N : n_rt;
+  u64 t[(N != 0 ? N : MontgomeryCtx::kMaxLimbs) + 2];
   for (std::size_t i = 0; i < n + 2; ++i) t[i] = 0;
 
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t ai = a[i];
-    std::uint64_t carry = 0;
+    const u64 ai = a[i];
+    u64 carry = 0;
+#pragma GCC unroll 8
     for (std::size_t j = 0; j < n; ++j) {
-      const std::uint64_t cur = t[j] + ai * b[j] + carry;
-      t[j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
+      const u128 cur = static_cast<u128>(ai) * b[j] + t[j] + carry;
+      t[j] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
     }
-    std::uint64_t cur = t[n] + carry;
-    t[n] = static_cast<std::uint32_t>(cur);
-    t[n + 1] = static_cast<std::uint32_t>(cur >> 32);
+    u128 cur = static_cast<u128>(t[n]) + carry;
+    t[n] = static_cast<u64>(cur);
+    t[n + 1] = static_cast<u64>(cur >> 64);
 
-    const std::uint32_t mi = t[0] * n0inv_;
-    cur = t[0] + static_cast<std::uint64_t>(mi) * m[0];
-    carry = cur >> 32;  // low limb is zero by construction of mi
+    const u64 mi = t[0] * n0inv;
+    cur = static_cast<u128>(mi) * m[0] + t[0];
+    carry = static_cast<u64>(cur >> 64);  // low limb is zero by choice of mi
+#pragma GCC unroll 8
     for (std::size_t j = 1; j < n; ++j) {
-      cur = t[j] + static_cast<std::uint64_t>(mi) * m[j] + carry;
-      t[j - 1] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
+      cur = static_cast<u128>(mi) * m[j] + t[j] + carry;
+      t[j - 1] = static_cast<u64>(cur);
+      carry = static_cast<u64>(cur >> 64);
     }
-    cur = t[n] + carry;
-    t[n - 1] = static_cast<std::uint32_t>(cur);
-    t[n] = t[n + 1] + static_cast<std::uint32_t>(cur >> 32);
+    cur = static_cast<u128>(t[n]) + carry;
+    t[n - 1] = static_cast<u64>(cur);
+    t[n] = t[n + 1] + static_cast<u64>(cur >> 64);
   }
 
   // t may be in [0, 2m): subtract m once if t >= m.
@@ -100,76 +139,110 @@ void MontgomeryCtx::mont_mul(const std::uint32_t* a, const std::uint32_t* b,
     }
   }
   if (ge) {
-    std::int64_t borrow = 0;
+    u64 borrow = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      std::int64_t diff =
-          static_cast<std::int64_t>(t[i]) - m[i] - borrow;
-      if (diff < 0) {
-        diff += static_cast<std::int64_t>(1) << 32;
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      out[i] = static_cast<std::uint32_t>(diff);
+      const u128 diff = static_cast<u128>(t[i]) - m[i] - borrow;
+      out[i] = static_cast<u64>(diff);
+      borrow = static_cast<u64>(diff >> 64) & 1;
     }
   } else {
     for (std::size_t i = 0; i < n; ++i) out[i] = t[i];
   }
 }
 
-BigUint MontgomeryCtx::mod_mul(const BigUint& a, const BigUint& b) const {
-  const std::vector<std::uint32_t> av =
-      to_padded(BigUint::compare(a, m_) >= 0 ? a % m_ : a);
-  const std::vector<std::uint32_t> bv =
-      to_padded(BigUint::compare(b, m_) >= 0 ? b % m_ : b);
-  const std::size_t n = limbs();
-  std::vector<std::uint32_t> scratch(2 * n + 2);
-  std::uint32_t* ar = scratch.data();      // a*R
-  std::uint32_t* t = scratch.data() + n;   // CIOS scratch, n+2
-  mont_mul(av.data(), r2_.data(), ar, t);  // aR = mont(a, R^2)
-  std::vector<std::uint32_t> out(n);
-  mont_mul(ar, bv.data(), out.data(), t);  // ab = mont(aR, b)
-  return from_limbs(out.data());
+}  // namespace
+
+void MontgomeryCtx::mont_mul(const u64* a, const u64* b, u64* out) const {
+  // Fixed-width instances for the hot widths: RSA-512 primes and
+  // secp256k1 (4 limbs), RSA-512 moduli and RSA-1024 primes (8 limbs).
+  switch (n_) {
+    case 4:
+      return cios<4>(a, b, out, mod(), n0inv_, n_);
+    case 8:
+      return cios<8>(a, b, out, mod(), n0inv_, n_);
+    default:
+      return cios<0>(a, b, out, mod(), n0inv_, n_);
+  }
 }
 
-BigUint MontgomeryCtx::mod_exp(const BigUint& base, const BigUint& exp) const {
-  const std::size_t n = limbs();
-  if (exp.is_zero()) return BigUint(1);  // m > 1, so 1 mod m == 1
-  const std::vector<std::uint32_t> bv =
-      to_padded(BigUint::compare(base, m_) >= 0 ? base % m_ : base);
+BigUint MontgomeryCtx::mod_mul(const BigUint& a, const BigUint& b) const {
+  Limbs av{}, bv{};
+  load(a, av.data());
+  load(b, bv.data());
+  mont_mul(av.data(), r2(), av.data());  // aR = mont(a, R^2)
+  mont_mul(av.data(), bv.data(), av.data());   // ab = mont(aR, b)
+  return store(av.data());
+}
 
-  std::vector<std::uint32_t> t(n + 2);
+void MontgomeryCtx::exp_in_domain(const u64* base_m, const BigUint& exp,
+                                  u64* acc) const {
+  const std::size_t n = n_;
   // 16-entry window table in the Montgomery domain: table[k] = base^k * R.
-  std::vector<std::uint32_t> table(16 * n);
-  std::uint32_t* tab = table.data();
-  for (std::size_t i = 0; i < n; ++i) tab[i] = r1_[i];          // base^0
-  mont_mul(bv.data(), r2_.data(), tab + n, t.data());           // base^1
+  // Left uninitialized: the first 16 * n entries are written below before
+  // any is read, and zeroing all 8 KiB would cost every exponentiation.
+  u64 tab[16 * kMaxLimbs];
+  for (std::size_t i = 0; i < n; ++i) {
+    tab[i] = r1()[i];  // base^0
+    tab[n + i] = base_m[i];
+  }
   for (std::size_t k = 2; k < 16; ++k)
-    mont_mul(tab + (k - 1) * n, tab + n, tab + k * n, t.data());
+    mont_mul(tab + (k - 1) * n, tab + n, tab + k * n);
 
-  std::vector<std::uint32_t> acc(r1_);  // 1 in Montgomery form
-  const std::size_t bits = exp.bit_length();
-  const std::size_t windows = (bits + 3) / 4;
+  for (std::size_t i = 0; i < n; ++i) acc[i] = r1()[i];  // 1 in Montgomery form
+  const std::size_t windows = (exp.bit_length() + 3) / 4;
   bool started = false;
   for (std::size_t w = windows; w-- > 0;) {
     if (started) {
-      for (int s = 0; s < 4; ++s)
-        mont_mul(acc.data(), acc.data(), acc.data(), t.data());
+      for (int s = 0; s < 4; ++s) mont_mul(acc, acc, acc);
     }
     std::uint32_t win = 0;
     for (std::size_t b = 0; b < 4; ++b) {
       if (exp.bit(4 * w + b)) win |= 1u << b;
     }
     if (win != 0) {
-      mont_mul(acc.data(), tab + win * n, acc.data(), t.data());
+      mont_mul(acc, tab + win * n, acc);
       started = true;
     }
   }
+}
+
+BigUint MontgomeryCtx::mod_exp(const BigUint& base, const BigUint& exp) const {
+  if (exp.is_zero()) return BigUint(1);  // m > 1, so 1 mod m == 1
+  Limbs b{}, acc{};
+  load(base, b.data());
+  mont_mul(b.data(), r2(), b.data());  // to the Montgomery domain
+  exp_in_domain(b.data(), exp, acc.data());
   // Leave the Montgomery domain: mont(acc, 1) = acc * R^-1.
-  std::vector<std::uint32_t> one(n, 0);
+  Limbs one{};
   one[0] = 1;
-  mont_mul(acc.data(), one.data(), acc.data(), t.data());
-  return from_limbs(acc.data());
+  mont_mul(acc.data(), one.data(), acc.data());
+  return store(acc.data());
+}
+
+bool MontgomeryCtx::strong_probable_prime(const BigUint& base,
+                                          const BigUint& d,
+                                          std::size_t r) const {
+  const std::size_t n = n_;
+  // Montgomery images of 1 (R mod m) and of m - 1 (m - R mod m).
+  Limbs minus_one{};
+  u64 borrow = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const u128 diff = static_cast<u128>(mod()[i]) - r1()[i] - borrow;
+    minus_one[i] = static_cast<u64>(diff);
+    borrow = static_cast<u64>(diff >> 64) & 1;
+  }
+
+  Limbs x{};
+  load(base, x.data());
+  mont_mul(x.data(), r2(), x.data());
+  exp_in_domain(x.data(), d, x.data());
+  if (equal(x.data(), r1()) || equal(x.data(), minus_one.data()))
+    return true;
+  for (std::size_t i = 1; i < r; ++i) {
+    mont_mul(x.data(), x.data(), x.data());
+    if (equal(x.data(), minus_one.data())) return true;
+  }
+  return false;
 }
 
 std::shared_ptr<const MontgomeryCtx> MontgomeryCtx::cached(
@@ -177,7 +250,10 @@ std::shared_ptr<const MontgomeryCtx> MontgomeryCtx::cached(
   if (!montgomery_enabled()) return nullptr;
   // Single-limb moduli already hit BigUint's one-word division fast path;
   // even moduli have no Montgomery form.
-  if (modulus.is_even() || modulus.bit_length() <= 32) return nullptr;
+  if (modulus.is_even() || modulus.bit_length() <= 32 ||
+      modulus.bit_length() > 64 * kMaxLimbs) {
+    return nullptr;
+  }
 
   // Thread-local MRU list: no locking under the parallel check queue, and
   // the hottest moduli (secp256k1 p/n, the federation's RSA keys) stay at

@@ -2,27 +2,34 @@
 //
 // Every fair-exchange settlement funnels through RSA-512 `mod_exp` (the
 // OP_CHECKRSA512PAIR probes and signature checks) and secp256k1 field
-// multiplications, all under a handful of fixed odd moduli. A MontgomeryCtx
-// precomputes, once per modulus, everything needed to replace each
-// multiply-then-Knuth-divide step with a single CIOS (coarsely integrated
-// operand scanning) interleaved multiply-reduce:
+// multiplications, all under a handful of fixed odd moduli; every gateway
+// uplink mints a fresh RSA-512 pair whose Miller–Rabin rounds run here too.
+// A MontgomeryCtx precomputes, once per modulus, everything needed to
+// replace each multiply-then-Knuth-divide step with a single CIOS (coarsely
+// integrated operand scanning) interleaved multiply-reduce over 64-bit
+// limbs, with 128-bit intermediate products:
 //
-//   * n0' = -m[0]^-1 mod 2^32   (limb-wise Montgomery constant)
-//   * R mod m and R^2 mod m     (domain conversion, R = 2^(32*limbs))
+//   * n0' = -m[0]^-1 mod 2^64   (limb-wise Montgomery constant)
+//   * R mod m and R^2 mod m     (domain conversion, R = 2^(64*limbs))
 //
 // `mod_exp` stays in the Montgomery domain throughout and uses a 4-bit
 // window (16-entry table: 4 squarings + at most 1 multiply per window);
 // `mod_mul` is two CIOS passes (a*R^2 -> aR, then aR*b -> ab mod m).
+// All scratch lives on the stack (moduli up to kMaxLimbs limbs), so an
+// operation allocates only for its BigUint result.
 //
 // Contexts are memoized in a small thread-local MRU cache keyed on the
 // modulus, so repeated verifies under the same RSA key — or the fixed
 // secp256k1 p/n — skip precomputation entirely, with no locking on the
-// parallel script-check workers. The classic square-and-multiply /
-// schoolbook-division code remains in BigUint as the reference slow path
-// (`mod_exp_basic` / `mod_mul_basic`) and handles even moduli, for which
-// Montgomery reduction is undefined.
+// parallel script-check workers. One-shot moduli (prime candidates during
+// key generation) construct a context directly and never enter the cache.
+// The classic square-and-multiply / schoolbook-division code remains in
+// BigUint as the reference (`mod_exp_basic` / `mod_mul_basic`): the test
+// oracle, and the path for even moduli, for which Montgomery reduction is
+// undefined.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -33,7 +40,11 @@ namespace bcwan::bignum {
 
 class MontgomeryCtx {
  public:
-  /// Throws std::domain_error unless `modulus` is odd and > 1.
+  /// Widest supported modulus, in 64-bit limbs (4096 bits).
+  static constexpr std::size_t kMaxLimbs = 64;
+
+  /// Throws std::domain_error unless `modulus` is odd, > 1 and at most
+  /// 64 * kMaxLimbs bits wide.
   explicit MontgomeryCtx(const BigUint& modulus);
 
   const BigUint& modulus() const noexcept { return m_; }
@@ -44,26 +55,47 @@ class MontgomeryCtx {
   /// (base ^ exp) mod m, 4-bit windowed, constant Montgomery domain.
   BigUint mod_exp(const BigUint& base, const BigUint& exp) const;
 
+  /// One Miller–Rabin round for the modulus n = d * 2^r + 1 (d odd, r >= 1)
+  /// with witness `base` in [2, n-2]: true when n is a strong probable prime
+  /// to that base. The exponentiation and all r-1 squarings stay in the
+  /// Montgomery domain; comparisons against 1 and n-1 use their Montgomery
+  /// images, so the verdict equals the textbook round's.
+  bool strong_probable_prime(const BigUint& base, const BigUint& d,
+                             std::size_t r) const;
+
   /// Memoized context for `modulus` from a bounded thread-local MRU cache.
   /// nullptr when the fast path does not apply: modulus even, zero, one,
-  /// single-limb, or Montgomery globally disabled (bench ablations).
+  /// at most 32 bits, wider than kMaxLimbs limbs, or Montgomery globally
+  /// disabled (bench ablations).
   static std::shared_ptr<const MontgomeryCtx> cached(const BigUint& modulus);
 
  private:
-  std::size_t limbs() const noexcept { return mod_limbs_.size(); }
-  /// out = a * b * R^-1 mod m (CIOS). All pointers reference `limbs()`-sized
-  /// arrays; `t` is scratch of limbs()+2. `out` may alias `a` or `b`.
-  void mont_mul(const std::uint32_t* a, const std::uint32_t* b,
-                std::uint32_t* out, std::uint32_t* t) const;
-  /// Value -> limbs()-sized little-endian array (value must be < m).
-  std::vector<std::uint32_t> to_padded(const BigUint& v) const;
-  BigUint from_limbs(const std::uint32_t* v) const;
+  /// out = a * b * R^-1 mod m (CIOS; unrolled instances for 4 and 8
+  /// limbs). All arrays hold n_ limbs; `out` may alias `a` or `b`.
+  void mont_mul(const std::uint64_t* a, const std::uint64_t* b,
+                std::uint64_t* out) const;
+  /// acc = base_m ^ exp in the Montgomery domain (base_m = base * R mod m).
+  /// `acc` may alias `base_m`.
+  void exp_in_domain(const std::uint64_t* base_m, const BigUint& exp,
+                     std::uint64_t* acc) const;
+  /// Value (must be < 2^(64*n_)) -> n_ little-endian limbs.
+  void pack(const BigUint& v, std::uint64_t* out) const;
+  /// Like pack, reducing mod m first when v >= m.
+  void load(const BigUint& v, std::uint64_t* out) const;
+  BigUint store(const std::uint64_t* v) const;
+  bool equal(const std::uint64_t* a, const std::uint64_t* b) const;
+
+  const std::uint64_t* mod() const noexcept { return consts_.data(); }
+  const std::uint64_t* r1() const noexcept { return consts_.data() + n_; }
+  const std::uint64_t* r2() const noexcept { return consts_.data() + 2 * n_; }
 
   BigUint m_;
-  std::vector<std::uint32_t> mod_limbs_;  // m, little-endian
-  std::vector<std::uint32_t> r1_;         // R mod m (1 in Montgomery form)
-  std::vector<std::uint32_t> r2_;         // R^2 mod m (to-Montgomery factor)
-  std::uint32_t n0inv_ = 0;               // -m[0]^-1 mod 2^32
+  std::size_t n_ = 0;  // limbs in use
+  // m | R mod m (1 in Montgomery form) | R^2 mod m (to-Montgomery factor),
+  // n_ little-endian limbs each: sized to the modulus, so the 64-entry
+  // cache stays small.
+  std::vector<std::uint64_t> consts_;
+  std::uint64_t n0inv_ = 0;  // -m[0]^-1 mod 2^64
 };
 
 /// Global kill switch for the fast path (default on). The bench ablation

@@ -1,7 +1,10 @@
 #include "bignum/primes.hpp"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
+
+#include "bignum/montgomery.hpp"
 
 namespace bcwan::bignum {
 
@@ -22,39 +25,77 @@ constexpr std::array<std::uint32_t, 168> kSmallPrimes = {
     811, 821, 823, 827, 829, 839, 853, 857, 859, 863, 877, 881, 883, 887,
     907, 911, 919, 929, 937, 941, 947, 953, 967, 971, 977, 983, 991, 997};
 
-bool divisible_by_small_prime(const BigUint& n) {
-  for (std::uint32_t p : kSmallPrimes) {
-    const BigUint bp(p);
-    if (n == bp) return false;  // n *is* a small prime, not divisible-composite
-    if ((n % bp).is_zero()) return true;
+// Consecutive runs of kSmallPrimes whose product fits in 32 bits: one
+// word remainder of the candidate per group (BigUint::mod_u32), then one
+// machine-word remainder per prime, instead of one BigUint division per
+// prime.
+struct PrimeGroup {
+  std::uint32_t product;
+  std::size_t begin, end;  // index range into kSmallPrimes
+};
+
+template <typename Visit>
+constexpr void for_each_group(Visit&& visit) {
+  std::size_t begin = 0;
+  while (begin < kSmallPrimes.size()) {
+    std::uint64_t product = 1;
+    std::size_t end = begin;
+    while (end < kSmallPrimes.size() &&
+           product * kSmallPrimes[end] <= 0xffffffffULL) {
+      product *= kSmallPrimes[end++];
+    }
+    visit(PrimeGroup{static_cast<std::uint32_t>(product), begin, end});
+    begin = end;
   }
-  return false;
 }
 
-bool miller_rabin_round(const BigUint& n, const BigUint& n_minus_1,
-                        const BigUint& d, std::size_t r, const BigUint& base) {
-  BigUint x = BigUint::mod_exp(base, d, n);
-  if (x.is_one() || x == n_minus_1) return true;
-  for (std::size_t i = 1; i < r; ++i) {
-    x = (x * x) % n;
-    if (x == n_minus_1) return true;
+constexpr std::size_t kGroupCount = [] {
+  std::size_t count = 0;
+  for_each_group([&count](const PrimeGroup&) { ++count; });
+  return count;
+}();
+
+constexpr std::array<PrimeGroup, kGroupCount> kGroups = [] {
+  std::array<PrimeGroup, kGroupCount> out{};
+  std::size_t i = 0;
+  for_each_group([&](const PrimeGroup& g) { out[i++] = g; });
+  return out;
+}();
+
+enum class TrialDivision { kPrime, kComposite, kUndecided };
+
+/// Trial division of n >= 2 by every prime below 1000. A small prime itself
+/// is prime, not a multiple of one.
+TrialDivision trial_divide(const BigUint& n) {
+  if (n.bit_length() <= 10 &&
+      std::binary_search(kSmallPrimes.begin(), kSmallPrimes.end(),
+                         static_cast<std::uint32_t>(n.to_u64()))) {
+    return TrialDivision::kPrime;
   }
-  return false;
+  for (const PrimeGroup& g : kGroups) {
+    const std::uint32_t rem = n.mod_u32(g.product);
+    for (std::size_t i = g.begin; i < g.end; ++i) {
+      if (rem % kSmallPrimes[i] == 0) return TrialDivision::kComposite;
+    }
+  }
+  return TrialDivision::kUndecided;
 }
 
 }  // namespace
 
 bool is_probable_prime(const BigUint& n, util::Rng& rng, std::size_t rounds) {
   if (n < BigUint(2)) return false;
-  for (std::uint32_t p : kSmallPrimes) {
-    const BigUint bp(p);
-    if (n == bp) return true;
-    if ((n % bp).is_zero()) return false;
+  switch (trial_divide(n)) {
+    case TrialDivision::kPrime:
+      return true;
+    case TrialDivision::kComposite:
+      return false;
+    case TrialDivision::kUndecided:
+      break;
   }
-  if (n.bit_length() <= 20) {
-    // Trial division already covered all factors <= sqrt(2^20) < 1024.
-    return true;
-  }
+  // A composite below 1009^2 has a prime factor below 1009 — the first
+  // prime past the table — so trial division already decided it.
+  if (n < BigUint(1009ULL * 1009)) return true;
 
   const BigUint n_minus_1 = n - BigUint(1);
   BigUint d = n_minus_1;
@@ -64,11 +105,15 @@ bool is_probable_prime(const BigUint& n, util::Rng& rng, std::size_t rounds) {
     ++r;
   }
 
+  // One context per candidate, built directly: candidates are one-shot
+  // moduli and must not evict the hot entries of MontgomeryCtx::cached.
+  // n is odd here (2 is in the trial-division table).
+  const MontgomeryCtx ctx(n);
   const BigUint two(2);
   const BigUint span = n - BigUint(4);  // bases in [2, n-2]
   for (std::size_t round = 0; round < rounds; ++round) {
     const BigUint base = BigUint::random_below(rng, span) + two;
-    if (!miller_rabin_round(n, n_minus_1, d, r, base)) return false;
+    if (!ctx.strong_probable_prime(base, d, r)) return false;
   }
   return true;
 }
@@ -90,7 +135,6 @@ BigUint generate_prime(util::Rng& rng, std::size_t bits) {
     }
     raw[nbytes - 1] |= 0x01;
     const BigUint candidate = BigUint::from_bytes_be(raw);
-    if (divisible_by_small_prime(candidate)) continue;
     if (is_probable_prime(candidate, rng)) return candidate;
   }
 }

@@ -2,8 +2,9 @@
 //
 // Used by crypto::rsa to generate the 256-bit prime factors of RSA-512
 // moduli (and larger moduli for the key-size ablation). Miller-Rabin with
-// random bases; candidates are pre-filtered by trial division against a
-// small-prime table.
+// random bases, run in the Montgomery domain of a per-candidate
+// MontgomeryCtx; candidates are pre-filtered by trial division against the
+// primes below 1000.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +15,8 @@
 namespace bcwan::bignum {
 
 /// Miller-Rabin with `rounds` random bases (error probability <= 4^-rounds).
-/// Exact for inputs below 2^16 via trial division.
+/// Exact for inputs below 1009^2 via trial division. Throws std::domain_error
+/// for n wider than 4096 bits (MontgomeryCtx::kMaxLimbs).
 bool is_probable_prime(const BigUint& n, util::Rng& rng,
                        std::size_t rounds = 24);
 

@@ -378,11 +378,16 @@ constexpr std::uint8_t kBlockFlagUndoPruned = 0x01;
 }  // namespace
 
 util::Bytes Blockchain::serialize_state(int undo_keep_depth) const {
+  util::Writer w;
+  write_state(w, undo_keep_depth);
+  return w.take();
+}
+
+void Blockchain::write_state(util::Writer& w, int undo_keep_depth) const {
   // Heights at or below this lose their undo data in the dump.
   const int prune_below =
       undo_keep_depth >= 0 ? height() - undo_keep_depth : -1;
   static const BlockUndo kEmptyUndo;
-  util::Writer w;
   w.u32(kStateVersion);
   w.varint(blocks_.size());
   for (const auto& [hash, stored] : blocks_) {
@@ -397,13 +402,13 @@ util::Bytes Blockchain::serialize_state(int undo_keep_depth) const {
     w.u8(prune ? kBlockFlagUndoPruned : 0);
     util::Writer undo_w;
     write_undo(undo_w, prune ? kEmptyUndo : stored.undo);
-    w.var_bytes(undo_w.take());
+    w.var_bytes(undo_w.data());
+    w.boundary();
   }
   w.varint(active_.size());
   for (const Hash256& h : active_)
     w.bytes(util::ByteView(h.data(), h.size()));
-  w.var_bytes(utxo_.serialize());
-  return w.take();
+  utxo_.write_var(w);
 }
 
 std::optional<Blockchain> Blockchain::restore_state(const ChainParams& params,
@@ -475,6 +480,55 @@ std::optional<Blockchain> Blockchain::restore_state(const ChainParams& params,
   }
 }
 
+int Blockchain::fork_height_of(const Hash256& tip) const {
+  // Genesis is always active, so the walk terminates.
+  auto on_active = [this](const Hash256& h) {
+    const int bh = blocks_.at(h).height;
+    return bh < static_cast<int>(active_.size()) &&
+           active_[static_cast<std::size_t>(bh)] == h;
+  };
+  Hash256 cursor = tip;
+  while (!on_active(cursor))
+    cursor = blocks_.at(cursor).block.header.prev_block;
+  return blocks_.at(cursor).height;
+}
+
+bool Blockchain::write_state_delta(util::Writer& w, std::uint64_t parent_seq,
+                                   std::uint64_t next_seq,
+                                   const Hash256& anchor_tip,
+                                   int anchor_height,
+                                   const std::vector<Hash256>& pending) {
+  if (!utxo_.journal_enabled()) return false;
+  const auto anchor_it = blocks_.find(anchor_tip);
+  if (anchor_it == blocks_.end() ||
+      anchor_it->second.height != anchor_height) {
+    return false;
+  }
+  for (const Hash256& h : pending) {
+    if (blocks_.find(h) == blocks_.end()) return false;
+  }
+
+  delta_wire::write_head(w, parent_seq, next_seq, pending.size());
+  for (const Hash256& h : pending) {
+    const StoredBlock& stored = blocks_.at(h);
+    delta_wire::write_new_block(w, stored.block, stored.height);
+    w.boundary();
+  }
+  const int fork_height = fork_height_of(anchor_tip);
+  delta_wire::write_edit_head(
+      w, static_cast<std::uint32_t>(anchor_height - fork_height),
+      static_cast<std::size_t>(height() - fork_height));
+  for (int h = fork_height + 1; h <= height(); ++h) {
+    const Hash256& hash = active_[static_cast<std::size_t>(h)];
+    delta_wire::write_push(w, hash, blocks_.at(hash).undo);
+    w.boundary();
+  }
+  const UtxoJournal journal = utxo_.take_journal();
+  delta_wire::write_tail(w, journal.spent, journal.added, height(),
+                         tip_hash());
+  return true;
+}
+
 std::optional<StateDelta> Blockchain::collect_state_delta(
     const Hash256& anchor_tip, int anchor_height,
     const std::vector<Hash256>& pending) {
@@ -492,19 +546,7 @@ std::optional<StateDelta> Blockchain::collect_state_delta(
     d.new_blocks.push_back({it->second.block, it->second.height});
   }
 
-  // Fork point of the anchor tip against the current active chain; since
-  // genesis is always active the walk terminates.
-  auto on_active = [this](const Hash256& h) {
-    const auto it = blocks_.find(h);
-    if (it == blocks_.end()) return false;
-    const int bh = it->second.height;
-    return bh < static_cast<int>(active_.size()) &&
-           active_[static_cast<std::size_t>(bh)] == h;
-  };
-  Hash256 cursor = anchor_tip;
-  while (!on_active(cursor))
-    cursor = blocks_.at(cursor).block.header.prev_block;
-  const int fork_height = blocks_.at(cursor).height;
+  const int fork_height = fork_height_of(anchor_tip);
   d.pop = static_cast<std::uint32_t>(anchor_height - fork_height);
   for (int h = fork_height + 1; h <= height(); ++h) {
     const Hash256& hash = active_[static_cast<std::size_t>(h)];

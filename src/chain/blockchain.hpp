@@ -94,6 +94,10 @@ class Blockchain {
   /// dump refuses reorganizations that would have to disconnect past them
   /// (kSideChain instead of a reorg). -1 keeps everything.
   util::Bytes serialize_state(int undo_keep_depth = -1) const;
+  /// serialize_state() appended to `w`, with a w.boundary() after every
+  /// block and coin record: a draining Writer (util::Writer::drain_to)
+  /// streams the dump to disk without a second copy of the chainstate.
+  void write_state(util::Writer& w, int undo_keep_depth = -1) const;
 
   /// Rebuild from a serialize_state() dump. std::nullopt if the stream is
   /// malformed or internally inconsistent (wrong genesis, dangling active
@@ -105,11 +109,22 @@ class Blockchain {
   // -- Incremental snapshots (the store's base + delta chain). --
 
   /// Net state change since `anchor_tip`/`anchor_height` (the tip at the
-  /// previous snapshot element). `pending` lists every block stored since
-  /// then, in storage order. Consumes the UTXO journal window — the caller
-  /// must have called utxo_journal_begin() at the previous element.
-  /// std::nullopt (journal window preserved-as-taken, caller must fall
-  /// back to a full base) when the anchor is unknown or journaling is off.
+  /// previous snapshot element), encoded (encode_state_delta format) into
+  /// `w` straight from the stored blocks, with a w.boundary() after every
+  /// record. `pending` lists every block stored since the anchor, in
+  /// storage order. Consumes the UTXO journal window — the caller must have
+  /// called utxo_journal_begin() at the previous element. False, with
+  /// nothing written and the journal window intact (the caller falls back
+  /// to a full base), when the anchor or a pending block is unknown or
+  /// journaling is off.
+  bool write_state_delta(util::Writer& w, std::uint64_t parent_seq,
+                         std::uint64_t next_seq, const Hash256& anchor_tip,
+                         int anchor_height,
+                         const std::vector<Hash256>& pending);
+
+  /// The same delta as a StateDelta deep copy. Test oracle for
+  /// write_state_delta: encode_state_delta of its result (with parent_seq
+  /// and next_seq filled in) must equal the streamed bytes.
   std::optional<StateDelta> collect_state_delta(
       const Hash256& anchor_tip, int anchor_height,
       const std::vector<Hash256>& pending);
@@ -206,6 +221,8 @@ class Blockchain {
   void try_connect_orphans(const Hash256& parent);
   /// Attempt to make `hash` (already stored, with known height) the tip.
   AcceptBlockResult maybe_reorg(const Hash256& hash);
+  /// Height of the highest active block on `tip`'s ancestry (a stored hash).
+  int fork_height_of(const Hash256& tip) const;
 
   ChainParams params_;
   std::unordered_map<Hash256, StoredBlock, Hash256Hasher> blocks_;

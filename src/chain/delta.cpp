@@ -32,30 +32,61 @@ OutPoint read_outpoint(util::Reader& r) {
 
 }  // namespace
 
+namespace delta_wire {
+
+void write_head(util::Writer& w, std::uint64_t parent_seq,
+                std::uint64_t next_seq, std::size_t new_blocks) {
+  w.u32(kDeltaVersion);
+  w.u64(parent_seq);
+  w.u64(next_seq);
+  w.varint(new_blocks);
+}
+
+void write_new_block(util::Writer& w, const Block& block, int height) {
+  w.var_bytes(block.serialize());
+  w.u32(static_cast<std::uint32_t>(height));
+}
+
+void write_edit_head(util::Writer& w, std::uint32_t pop, std::size_t pushes) {
+  w.u32(pop);
+  w.varint(pushes);
+}
+
+void write_push(util::Writer& w, const Hash256& hash, const BlockUndo& undo) {
+  write_hash(w, hash);
+  util::Writer undo_w;
+  write_undo(undo_w, undo);
+  w.var_bytes(undo_w.data());
+}
+
+void write_tail(util::Writer& w, const std::vector<OutPoint>& spent,
+                const std::vector<std::pair<OutPoint, Coin>>& added,
+                int tip_height, const Hash256& tip_hash) {
+  w.varint(spent.size());
+  for (const OutPoint& op : spent) {
+    write_outpoint(w, op);
+    w.boundary();
+  }
+  w.varint(added.size());
+  for (const auto& [op, coin] : added) {
+    write_coin(w, op, coin);
+    w.boundary();
+  }
+  w.u32(static_cast<std::uint32_t>(tip_height));
+  write_hash(w, tip_hash);
+}
+
+}  // namespace delta_wire
+
 util::Bytes encode_state_delta(const StateDelta& d) {
   util::Writer w;
-  w.u32(kDeltaVersion);
-  w.u64(d.parent_seq);
-  w.u64(d.next_seq);
-  w.varint(d.new_blocks.size());
-  for (const StateDelta::NewBlock& nb : d.new_blocks) {
-    w.var_bytes(nb.block.serialize());
-    w.u32(static_cast<std::uint32_t>(nb.height));
-  }
-  w.u32(d.pop);
-  w.varint(d.push.size());
-  for (const StateDelta::PushedBlock& p : d.push) {
-    write_hash(w, p.hash);
-    util::Writer undo_w;
-    write_undo(undo_w, p.undo);
-    w.var_bytes(undo_w.data());
-  }
-  w.varint(d.spent.size());
-  for (const OutPoint& op : d.spent) write_outpoint(w, op);
-  w.varint(d.added.size());
-  for (const auto& [op, coin] : d.added) write_coin(w, op, coin);
-  w.u32(static_cast<std::uint32_t>(d.tip_height));
-  write_hash(w, d.tip_hash);
+  delta_wire::write_head(w, d.parent_seq, d.next_seq, d.new_blocks.size());
+  for (const StateDelta::NewBlock& nb : d.new_blocks)
+    delta_wire::write_new_block(w, nb.block, nb.height);
+  delta_wire::write_edit_head(w, d.pop, d.push.size());
+  for (const StateDelta::PushedBlock& p : d.push)
+    delta_wire::write_push(w, p.hash, p.undo);
+  delta_wire::write_tail(w, d.spent, d.added, d.tip_height, d.tip_hash);
   return w.take();
 }
 

@@ -7,7 +7,7 @@
 // reproduces exactly the state a full snapshot would have captured — at
 // O(blocks changed) serialization cost instead of O(UTXO set).
 //
-// Collection and application live on Blockchain (collect_state_delta /
+// Writing and application live on Blockchain (write_state_delta /
 // apply_state_delta); this header owns the wire format.
 #pragma once
 
@@ -55,6 +55,23 @@ struct StateDelta {
 };
 
 util::Bytes encode_state_delta(const StateDelta& delta);
+
+/// The wire format piece by piece, in payload order: the head, one
+/// new-block record per new block, the chain-edit head, one push record per
+/// pushed block, then the tail. encode_state_delta is exactly these calls;
+/// Blockchain::write_state_delta makes them straight from its stored blocks
+/// so a delta streams to disk without being materialized.
+namespace delta_wire {
+void write_head(util::Writer& w, std::uint64_t parent_seq,
+                std::uint64_t next_seq, std::size_t new_blocks);
+void write_new_block(util::Writer& w, const Block& block, int height);
+void write_edit_head(util::Writer& w, std::uint32_t pop, std::size_t pushes);
+void write_push(util::Writer& w, const Hash256& hash, const BlockUndo& undo);
+void write_tail(util::Writer& w, const std::vector<OutPoint>& spent,
+                const std::vector<std::pair<OutPoint, Coin>>& added,
+                int tip_height, const Hash256& tip_hash);
+}  // namespace delta_wire
+
 /// std::nullopt on malformed bytes (version mismatch, truncation, trailing
 /// garbage). CRC integrity is the store framing's job.
 std::optional<StateDelta> decode_state_delta(util::ByteView data);

@@ -105,18 +105,38 @@ Amount UtxoSet::total_value() const {
   return total;
 }
 
+std::vector<const std::pair<const OutPoint, Coin>*> UtxoSet::sorted() const {
+  std::vector<const std::pair<const OutPoint, Coin>*> out;
+  out.reserve(coins_.size());
+  for (const auto& entry : coins_) out.push_back(&entry);
+  std::sort(out.begin(), out.end(), [](const auto* a, const auto* b) {
+    return outpoint_less(a->first, b->first);
+  });
+  return out;
+}
+
 util::Bytes UtxoSet::serialize() const {
-  std::vector<const std::pair<const OutPoint, Coin>*> sorted;
-  sorted.reserve(coins_.size());
-  for (const auto& entry : coins_) sorted.push_back(&entry);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto* a, const auto* b) {
-              return outpoint_less(a->first, b->first);
-            });
   util::Writer w;
-  w.varint(sorted.size());
-  for (const auto* entry : sorted) write_coin(w, entry->first, entry->second);
+  w.varint(coins_.size());
+  for (const auto* entry : sorted()) write_coin(w, entry->first, entry->second);
   return w.take();
+}
+
+void UtxoSet::write_var(util::Writer& w) const {
+  const auto coins = sorted();
+  // write_coin: txid, index, value, script, height, coinbase flag.
+  constexpr std::size_t kFixedCoinBytes = 32 + 4 + 8 + 4 + 1;
+  std::size_t bytes = util::varint_size(coins.size());
+  for (const auto* entry : coins) {
+    const std::size_t script = entry->second.out.script_pubkey.size();
+    bytes += kFixedCoinBytes + util::varint_size(script) + script;
+  }
+  w.varint(bytes);
+  w.varint(coins.size());
+  for (const auto* entry : coins) {
+    write_coin(w, entry->first, entry->second);
+    w.boundary();
+  }
 }
 
 std::optional<UtxoSet> UtxoSet::deserialize(util::ByteView data) {

@@ -83,6 +83,10 @@ class UtxoSet : public CoinView {
   /// Canonical serialization, sorted by outpoint, so equal sets serialize
   /// identically (chainstate snapshots, state hashing).
   util::Bytes serialize() const;
+  /// w.var_bytes(serialize()) without the intermediate buffer: the length
+  /// is computed up front and a w.boundary() follows every coin, so a
+  /// draining Writer streams the set (chainstate base snapshots).
+  void write_var(util::Writer& w) const;
   static std::optional<UtxoSet> deserialize(util::ByteView data);
 
   /// Double SHA-256 of the canonical serialization: two UTXO sets hash
@@ -92,6 +96,8 @@ class UtxoSet : public CoinView {
 
  private:
   void record_baseline(const OutPoint& op);
+  /// Every entry, sorted by outpoint (the canonical serialization order).
+  std::vector<const std::pair<const OutPoint, Coin>*> sorted() const;
 
   std::unordered_map<OutPoint, Coin, OutPointHasher> coins_;
   // Journal window: outpoint -> coin value when the window opened

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <system_error>
 
 #include "store/crc32c.hpp"
@@ -60,6 +61,69 @@ void set_error(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = msg;
 }
 
+/// Payload bytes buffered in the encoder before they go to the file.
+constexpr std::size_t kStreamChunk = 64 * 1024;
+
+/// Write one element file: `prefix` (magic, version, seqs), then the
+/// payload length and CRC, then the payload. The CRC covers the last
+/// `crc_seq_bytes` of the prefix (the seqs) and the payload. The payload
+/// streams into <final>.tmp through a draining Writer with the length and
+/// CRC zeroed; both are patched in once the payload is complete, before the
+/// fsync. Ordering contract: data is on disk BEFORE the rename publishes
+/// the file, and the rename is on disk before the caller retires the log.
+bool write_element(const std::string& dir, const fs::path& final_path,
+                   util::ByteView prefix, std::size_t crc_seq_bytes,
+                   const PayloadWriter& payload, std::uint64_t* file_bytes,
+                   std::string* error) {
+  const fs::path tmp_path = final_path.string() + ".tmp";
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
+      std::fopen(tmp_path.c_str(), "wb"), &std::fclose);
+  if (f == nullptr) {
+    set_error(error, "cannot create tmp: " + tmp_path.string());
+    return false;
+  }
+  const std::uint8_t zeros[8] = {};
+  bool ok = std::fwrite(prefix.data(), 1, prefix.size(), f.get()) ==
+                prefix.size() &&
+            std::fwrite(zeros, 1, sizeof(zeros), f.get()) == sizeof(zeros);
+  std::uint32_t crc = crc32c(prefix.subspan(prefix.size() - crc_seq_bytes));
+  std::uint64_t len = 0;
+  util::Writer w;
+  w.drain_to(
+      [&](util::ByteView chunk) {
+        crc = crc32c_extend(crc, chunk);
+        len += chunk.size();
+        ok = ok && std::fwrite(chunk.data(), 1, chunk.size(), f.get()) ==
+                       chunk.size();
+      },
+      kStreamChunk);
+  ok = payload(w) && ok;
+  w.flush();
+  util::Writer trailer;
+  trailer.u32(static_cast<std::uint32_t>(len));
+  trailer.u32(crc);
+  ok = ok && len <= UINT32_MAX &&
+       std::fseek(f.get(), static_cast<long>(prefix.size()), SEEK_SET) == 0 &&
+       std::fwrite(trailer.data().data(), 1, trailer.data().size(), f.get()) ==
+           trailer.data().size();
+  ok = ok && std::fflush(f.get()) == 0 && ::fsync(::fileno(f.get())) == 0;
+  ok = std::fclose(f.release()) == 0 && ok;
+  std::error_code ec;
+  if (!ok) {
+    fs::remove(tmp_path, ec);
+    set_error(error, "cannot write " + tmp_path.string());
+    return false;
+  }
+  fs::rename(tmp_path, final_path, ec);
+  if (ec || !fsync_dir(dir)) {
+    fs::remove(tmp_path, ec);
+    set_error(error, "cannot publish " + final_path.string());
+    return false;
+  }
+  *file_bytes = prefix.size() + sizeof(zeros) + len;
+  return true;
+}
+
 }  // namespace
 
 std::vector<SnapshotInfo> list_snapshots(const std::string& dir) {
@@ -84,49 +148,24 @@ std::vector<SnapshotInfo> list_snapshots(const std::string& dir) {
 }
 
 bool write_snapshot_file(const std::string& dir, std::uint64_t next_seq,
-                         util::ByteView state, SnapshotInfo* info,
+                         const PayloadWriter& payload, SnapshotInfo* info,
                          std::string* error) {
   const fs::path final_path = fs::path(dir) / snapshot_name(next_seq);
-  const fs::path tmp_path = final_path.string() + ".tmp";
-
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) {
-    set_error(error, "cannot create snapshot tmp: " + tmp_path.string());
-    return false;
-  }
-  util::Writer header;
-  header.bytes(util::ByteView(
+  util::Writer prefix;
+  prefix.bytes(util::ByteView(
       reinterpret_cast<const std::uint8_t*>(kSnapshotMagic),
       sizeof(kSnapshotMagic)));
-  header.u32(kSnapshotVersion);
-  header.u64(next_seq);
-  header.u32(static_cast<std::uint32_t>(state.size()));
-  header.u32(snapshot_crc(next_seq, state));
-  bool ok = std::fwrite(header.data().data(), 1, header.data().size(), f) ==
-            header.data().size();
-  ok = ok && (state.empty() ||
-              std::fwrite(state.data(), 1, state.size(), f) == state.size());
-  // Ordering contract: data must be on disk BEFORE the rename publishes the
-  // file, and the rename must be on disk before the caller retires the log.
-  ok = ok && std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  if (!ok) {
-    std::error_code ec;
-    fs::remove(tmp_path, ec);
-    set_error(error, "cannot write snapshot: " + tmp_path.string());
-    return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp_path, final_path, ec);
-  if (ec || !fsync_dir(dir)) {
-    fs::remove(tmp_path, ec);
-    set_error(error, "cannot publish snapshot: " + final_path.string());
+  prefix.u32(kSnapshotVersion);
+  prefix.u64(next_seq);
+  std::uint64_t bytes = 0;
+  if (!write_element(dir, final_path, prefix.data(), 8, payload, &bytes,
+                     error)) {
     return false;
   }
   if (info != nullptr) {
     info->seq = next_seq;
     info->path = final_path.string();
-    info->bytes = kSnapshotHeaderBytes + state.size();
+    info->bytes = bytes;
   }
   return true;
 }
@@ -242,50 +281,25 @@ std::vector<DeltaFileInfo> list_delta_files(const std::string& dir) {
 }
 
 bool write_delta_file(const std::string& dir, std::uint64_t parent_seq,
-                      std::uint64_t next_seq, util::ByteView payload,
+                      std::uint64_t next_seq, const PayloadWriter& payload,
                       DeltaFileInfo* info, std::string* error) {
   const fs::path final_path = fs::path(dir) / delta_name(parent_seq, next_seq);
-  const fs::path tmp_path = final_path.string() + ".tmp";
-
-  std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
-  if (f == nullptr) {
-    set_error(error, "cannot create delta tmp: " + tmp_path.string());
-    return false;
-  }
-  util::Writer header;
-  header.bytes(util::ByteView(
+  util::Writer prefix;
+  prefix.bytes(util::ByteView(
       reinterpret_cast<const std::uint8_t*>(kDeltaMagic), sizeof(kDeltaMagic)));
-  header.u32(kDeltaFileVersion);
-  header.u64(parent_seq);
-  header.u64(next_seq);
-  header.u32(static_cast<std::uint32_t>(payload.size()));
-  header.u32(delta_crc(parent_seq, next_seq, payload));
-  bool ok = std::fwrite(header.data().data(), 1, header.data().size(), f) ==
-            header.data().size();
-  ok = ok && (payload.empty() || std::fwrite(payload.data(), 1, payload.size(),
-                                             f) == payload.size());
-  // Same ordering contract as base snapshots: data durable before the
-  // rename publishes it, rename durable before the log is retired.
-  ok = ok && std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  if (!ok) {
-    std::error_code ec;
-    fs::remove(tmp_path, ec);
-    set_error(error, "cannot write delta: " + tmp_path.string());
-    return false;
-  }
-  std::error_code ec;
-  fs::rename(tmp_path, final_path, ec);
-  if (ec || !fsync_dir(dir)) {
-    fs::remove(tmp_path, ec);
-    set_error(error, "cannot publish delta: " + final_path.string());
+  prefix.u32(kDeltaFileVersion);
+  prefix.u64(parent_seq);
+  prefix.u64(next_seq);
+  std::uint64_t bytes = 0;
+  if (!write_element(dir, final_path, prefix.data(), 16, payload, &bytes,
+                     error)) {
     return false;
   }
   if (info != nullptr) {
     info->parent_seq = parent_seq;
     info->seq = next_seq;
     info->path = final_path.string();
-    info->bytes = kDeltaHeaderBytes + payload.size();
+    info->bytes = bytes;
   }
   return true;
 }

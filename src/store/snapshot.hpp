@@ -6,6 +6,8 @@
 // with the tmp + fflush + fsync + rename + fsync(dir) dance so a crash at
 // any instant leaves either the old set of snapshots or the old set plus
 // one complete new file — never a half-written one under the final name.
+// The payload streams into the tmp file in 64 KiB pieces; its length and
+// CRC are patched into the header before the fsync.
 //
 // On-disk layout: 8-byte magic "BCWANSNP" | u32 version | u64 next_seq
 //                 | u32 payload_len | u32 crc32c(next_seq || payload)
@@ -13,11 +15,13 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "util/bytes.hpp"
+#include "util/serial.hpp"
 
 namespace bcwan::store {
 
@@ -34,9 +38,16 @@ struct SnapshotInfo {
 /// Snapshot files in `dir`, newest (highest seq) first.
 std::vector<SnapshotInfo> list_snapshots(const std::string& dir);
 
-/// Atomically write a snapshot covering log records seq < `next_seq`.
+/// Produces an element payload by appending it to a Writer that drains to
+/// the file being written (call w.boundary() between records); false
+/// abandons the file.
+using PayloadWriter = std::function<bool(util::Writer& w)>;
+
+/// Atomically write a snapshot covering log records seq < `next_seq`. The
+/// payload streams to disk as it is produced, so a large chainstate never
+/// sits in memory twice.
 bool write_snapshot_file(const std::string& dir, std::uint64_t next_seq,
-                         util::ByteView state, SnapshotInfo* info,
+                         const PayloadWriter& state, SnapshotInfo* info,
                          std::string* error);
 
 /// Load + CRC-verify one snapshot file. std::nullopt if unreadable, torn
@@ -76,9 +87,10 @@ struct DeltaFileInfo {
 /// Delta files in `dir`, oldest (lowest seq) first — application order.
 std::vector<DeltaFileInfo> list_delta_files(const std::string& dir);
 
-/// Atomically write a delta on top of the element covering `parent_seq`.
+/// Atomically write a delta on top of the element covering `parent_seq`,
+/// streamed like write_snapshot_file.
 bool write_delta_file(const std::string& dir, std::uint64_t parent_seq,
-                      std::uint64_t next_seq, util::ByteView payload,
+                      std::uint64_t next_seq, const PayloadWriter& payload,
                       DeltaFileInfo* info, std::string* error);
 
 /// Load + CRC-verify one delta file. std::nullopt if unreadable, torn or

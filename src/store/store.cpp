@@ -380,20 +380,25 @@ bool ChainStore::write_delta(chain::Blockchain& chain) {
       last_element_seq_ == 0) {
     return false;
   }
-  auto delta =
-      chain.collect_state_delta(anchor_tip_, anchor_height_, pending_blocks_);
-  // collect failing leaves the journal window intact; anything failing
-  // AFTER the window was consumed must poison the anchor so the next
-  // element is forced to be a full base (a second delta against a consumed
-  // window would silently drop UTXO changes).
-  if (!delta) return false;
-  delta->parent_seq = last_element_seq_;
-  delta->next_seq = next_seq_;
-  const util::Bytes payload = chain::encode_state_delta(*delta);
+  // The delta streams from the chain's stored blocks into the file.
+  bool collected = false;
   DeltaFileInfo info;
-  if (!write_delta_file(options_.dir, last_element_seq_, next_seq_, payload,
-                        &info, nullptr) ||
-      !log_.reset()) {
+  const bool written = write_delta_file(
+      options_.dir, last_element_seq_, next_seq_,
+      [&](util::Writer& w) {
+        collected =
+            chain.write_state_delta(w, last_element_seq_, next_seq_,
+                                    anchor_tip_, anchor_height_,
+                                    pending_blocks_);
+        return collected;
+      },
+      &info, nullptr);
+  // A delta that cannot be collected leaves the journal window intact;
+  // anything failing AFTER the window was consumed must poison the anchor
+  // so the next element is forced to be a full base (a second delta
+  // against a consumed window would silently drop UTXO changes).
+  if (!collected) return false;
+  if (!written || !log_.reset()) {
     have_anchor_ = false;
     return false;
   }
@@ -423,10 +428,15 @@ bool ChainStore::write_delta(chain::Blockchain& chain) {
 
 bool ChainStore::write_snapshot(chain::Blockchain& chain) {
   const auto t0 = std::chrono::steady_clock::now();
-  const util::Bytes state = chain.serialize_state(options_.undo_prune_depth);
   SnapshotInfo info;
-  if (!write_snapshot_file(options_.dir, next_seq_, state, &info, nullptr))
-    return false;
+  const bool written = write_snapshot_file(
+      options_.dir, next_seq_,
+      [&](util::Writer& w) {
+        chain.write_state(w, options_.undo_prune_depth);
+        return true;
+      },
+      &info, nullptr);
+  if (!written) return false;
   // The snapshot is durable (fsync'd file + dir), so every logged record is
   // now redundant — rotate the log rather than letting it grow forever.
   if (!log_.reset()) return false;

@@ -7,8 +7,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "util/bytes.hpp"
 
@@ -20,6 +22,11 @@ class DeserializeError : public std::runtime_error {
   explicit DeserializeError(const std::string& what)
       : std::runtime_error("deserialize: " + what) {}
 };
+
+/// Encoded size of Writer::varint(v).
+constexpr std::size_t varint_size(std::uint64_t v) noexcept {
+  return v < 0xfd ? 1 : v <= 0xffff ? 3 : v <= 0xffffffffULL ? 5 : 9;
+}
 
 /// Append-only binary writer.
 class Writer {
@@ -46,8 +53,30 @@ class Writer {
   const Bytes& data() const noexcept { return out_; }
   Bytes take() noexcept { return std::move(out_); }
 
+  /// Stream the encoding out in pieces: from now on every boundary() call
+  /// with at least `chunk` bytes buffered hands them to `drain` and empties
+  /// the buffer, and flush() hands over the rest. An encoder that calls
+  /// boundary() between records writes a large payload (a chainstate
+  /// snapshot) in bounded memory, byte-identical to its buffered encoding.
+  void drain_to(std::function<void(ByteView)> drain, std::size_t chunk) {
+    drain_ = std::move(drain);
+    drain_at_ = chunk;
+  }
+  /// Record boundary: drains when streaming and the buffer is full enough.
+  void boundary() {
+    if (drain_ && out_.size() >= drain_at_) flush();
+  }
+  /// Drain whatever is buffered (no-op without drain_to).
+  void flush() {
+    if (!drain_ || out_.empty()) return;
+    drain_(out_);
+    out_.clear();
+  }
+
  private:
   Bytes out_;
+  std::function<void(ByteView)> drain_;
+  std::size_t drain_at_ = 0;
 };
 
 /// Bounds-checked binary reader over a borrowed buffer.

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bignum/biguint.hpp"
 #include "bignum/montgomery.hpp"
 #include "bignum/primes.hpp"
@@ -253,6 +255,49 @@ TEST(Primes, GenerateRsaPrimeCoprimality) {
   EXPECT_TRUE(BigUint::gcd(p - BigUint(1), e).is_one());
 }
 
+TEST(Primes, SmallPrimeOutputsPinned) {
+  // generate_prime at 8-10 bits, pinned to the outputs of the textbook
+  // trial-division + Knuth-division Miller-Rabin implementation: the same
+  // candidates survive and the same RNG draws are made. A candidate equal
+  // to a prime below 1000 (every 10-bit one here, some 8- and 9-bit ones)
+  // is accepted, not mistaken for a multiple of itself.
+  const struct {
+    std::size_t bits;
+    std::vector<std::uint64_t> primes;
+    std::uint64_t next_draw;
+  } cases[] = {
+      {8,
+       {0xe5, 0xf1, 0xe9, 0xf1, 0xf1, 0xc1, 0xef, 0xdf, 0xe3, 0xc1, 0xdf, 0xf1},
+       0x3ff5632e9cf453acULL},
+      {9,
+       {0x1bb, 0x1c9, 0x1af, 0x1c9, 0x191, 0x1a3, 0x1f7, 0x1a5, 0x1b7, 0x1eb,
+        0x191, 0x1eb},
+       0xcc6416835512450bULL},
+      {10,
+       {0x3df, 0x38f, 0x329, 0x359, 0x3f1, 0x31d, 0x3e5, 0x33b, 0x3c7, 0x373,
+        0x38b, 0x3ad},
+       0xadf6fa7bf4b14aa4ULL},
+  };
+  for (const auto& c : cases) {
+    Rng rng(c.bits * 100 + 1);
+    for (const std::uint64_t want : c.primes)
+      EXPECT_EQ(generate_prime(rng, c.bits).to_u64(), want) << c.bits;
+    EXPECT_EQ(rng.next(), c.next_draw) << c.bits;
+  }
+}
+
+TEST(Primes, SmallPrimesAcceptedAndTheirMultiplesRejected) {
+  Rng rng(11);
+  const std::uint64_t primes[] = {2, 3, 29, 31, 997};
+  for (const std::uint64_t p : primes) {
+    EXPECT_TRUE(is_probable_prime(BigUint(p), rng)) << p;
+    EXPECT_FALSE(is_probable_prime(BigUint(p * 1009), rng)) << p;
+  }
+  // 1009 is the first prime past the trial-division table.
+  EXPECT_TRUE(is_probable_prime(BigUint(1009), rng));
+  EXPECT_FALSE(is_probable_prime(BigUint(1009ULL * 1013), rng));
+}
+
 class BigUintFieldProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(BigUintFieldProperty, DistributiveAndAssociative) {
@@ -307,6 +352,99 @@ TEST(Montgomery, DifferentialModExpAcrossWidths) {
           << "bits=" << bits << " round=" << round;
     }
   }
+}
+
+TEST(Montgomery, DifferentialAtOddLimbWidths) {
+  // Widths that are odd multiples of 32 bits leave the top 64-bit limb half
+  // empty; 33-64 bits is a single 64-bit limb.
+  Rng rng(109);
+  for (std::size_t bits : {33u, 40u, 57u, 63u, 64u, 96u, 160u, 288u, 544u}) {
+    for (int modulus = 0; modulus < 4; ++modulus) {
+      BigUint m = random_odd_modulus(rng, bits);
+      if (m.bit_length() <= 1) m = BigUint(3);
+      const MontgomeryCtx ctx(m);
+      for (int round = 0; round < 4; ++round) {
+        const BigUint a = BigUint::random_bits(rng, bits + 40);
+        const BigUint b = BigUint::random_bits(rng, bits);
+        const BigUint e = BigUint::random_bits(rng, bits);
+        EXPECT_EQ(ctx.mod_mul(a, b), BigUint::mod_mul_basic(a, b, m))
+            << "bits=" << bits;
+        EXPECT_EQ(ctx.mod_exp(a, e), BigUint::mod_exp_basic(a, e, m))
+            << "bits=" << bits;
+        EXPECT_EQ(BigUint::mod_mul(a, b, m), BigUint::mod_mul_basic(a, b, m))
+            << "bits=" << bits;
+        EXPECT_EQ(BigUint::mod_exp(a, e, m), BigUint::mod_exp_basic(a, e, m))
+            << "bits=" << bits;
+      }
+    }
+  }
+}
+
+TEST(Montgomery, ExtremeModuliMatchReference) {
+  // All-ones limbs stress every carry chain; 2^k + 1 has a tiny R mod m.
+  for (const BigUint& m :
+       {(BigUint(1) << 64) - BigUint(1), (BigUint(1) << 256) - BigUint(1),
+        (BigUint(1) << 512) + BigUint(1), (BigUint(1) << 63) + BigUint(1)}) {
+    const MontgomeryCtx ctx(m);
+    const BigUint a = m - BigUint(1);
+    const BigUint b = m - BigUint(2);
+    EXPECT_EQ(ctx.mod_mul(a, b), BigUint::mod_mul_basic(a, b, m));
+    EXPECT_EQ(ctx.mod_exp(a, b), BigUint::mod_exp_basic(a, b, m));
+    EXPECT_EQ(ctx.mod_exp(b, a), BigUint::mod_exp_basic(b, a, m));
+  }
+}
+
+// Textbook Miller-Rabin round over the reference arithmetic.
+bool reference_mr_round(const BigUint& n, const BigUint& base) {
+  const BigUint n_minus_1 = n - BigUint(1);
+  BigUint d = n_minus_1;
+  std::size_t r = 0;
+  while (d.is_even()) {
+    d = d >> 1;
+    ++r;
+  }
+  BigUint x = BigUint::mod_exp_basic(base, d, n);
+  if (x.is_one() || x == n_minus_1) return true;
+  for (std::size_t i = 1; i < r; ++i) {
+    x = BigUint::mod_mul_basic(x, x, n);
+    if (x == n_minus_1) return true;
+  }
+  return false;
+}
+
+TEST(Montgomery, StrongProbablePrimeMatchesTextbookRound) {
+  Rng rng(110);
+  std::vector<BigUint> moduli = {
+      BigUint(2047),                // strong pseudoprime to base 2
+      BigUint(3215031751ULL),       // ... to bases 2, 3, 5 and 7
+      BigUint(4294967291ULL),       // largest 32-bit prime
+      (BigUint(1) << 127) - BigUint(1),
+      generate_prime(rng, 256),
+      generate_prime(rng, 256) * generate_prime(rng, 128),
+  };
+  for (int i = 0; i < 4; ++i) moduli.push_back(random_odd_modulus(rng, 200));
+  for (const BigUint& n : moduli) {
+    BigUint d = n - BigUint(1);
+    std::size_t r = 0;
+    while (d.is_even()) {
+      d = d >> 1;
+      ++r;
+    }
+    const MontgomeryCtx ctx(n);
+    std::vector<BigUint> bases = {BigUint(2), BigUint(3), BigUint(5),
+                                  BigUint(7), n - BigUint(2)};
+    for (int k = 0; k < 6; ++k)
+      bases.push_back(BigUint::random_below(rng, n - BigUint(4)) + BigUint(2));
+    for (const BigUint& base : bases) {
+      EXPECT_EQ(ctx.strong_probable_prime(base, d, r),
+                reference_mr_round(n, base))
+          << "n=" << n.to_hex() << " base=" << base.to_hex();
+    }
+  }
+  EXPECT_TRUE(MontgomeryCtx(BigUint(2047)).strong_probable_prime(
+      BigUint(2), BigUint(1023), 1));
+  EXPECT_FALSE(MontgomeryCtx(BigUint(2047)).strong_probable_prime(
+      BigUint(3), BigUint(1023), 1));
 }
 
 TEST(Montgomery, ModExpEdgeCases) {

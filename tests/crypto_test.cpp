@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "bignum/montgomery.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/base58.hpp"
 #include "crypto/ecdsa.hpp"
@@ -361,6 +362,49 @@ TEST(Rsa, LargerModuli) {
     EXPECT_EQ(rsa_decrypt(kp.priv, ct), msg);
     EXPECT_TRUE(rsa_verify(kp.pub, msg, rsa_sign(kp.priv, msg)));
   }
+}
+
+TEST(Rsa, GeneratedKeysPinned) {
+  // Digest of (n, e, d, p, q) and the next RNG draw after rsa_generate,
+  // recorded from the textbook implementation (trial division by BigUint
+  // division, Miller-Rabin squarings through Knuth division, 32-bit-limb
+  // Montgomery). Faster keygen must find the same primes with the same
+  // random draws.
+  const struct {
+    std::uint64_t seed;
+    std::size_t bits;
+    const char* digest;
+    std::uint64_t next_draw;
+  } cases[] = {
+      {1, 512, "d603acfe93fa2809", 0xe89f153af8a4a418ULL},
+      {2, 512, "e726b66cacbb7d7a", 0x1802cebb9148bd81ULL},
+      {3, 512, "7160fc7cb678b9a7", 0x19c58446d869b661ULL},
+      {7, 768, "cbc7a9ebe0caf4cd", 0x50ad19b7c7752627ULL},
+      {11, 1024, "9be0931025af0d04", 0xf6be59b651e11e14ULL},
+  };
+  for (const auto& c : cases) {
+    Rng rng(c.seed);
+    const RsaKeyPair kp = rsa_generate(rng, c.bits);
+    Bytes blob = kp.priv.serialize();
+    for (const bignum::BigUint* v : {&kp.priv.p, &kp.priv.q}) {
+      const Bytes be = v->to_bytes_be();
+      blob.insert(blob.end(), be.begin(), be.end());
+    }
+    const Digest256 h = sha256(blob);
+    EXPECT_EQ(to_hex(ByteView(h.data(), 8)), c.digest) << c.bits;
+    EXPECT_EQ(rng.next(), c.next_draw) << c.bits;
+  }
+}
+
+TEST(Rsa, KeygenKeepsHotMontgomeryContexts) {
+  // Prime candidates are one-shot moduli: a few keygens must not push a hot
+  // modulus (secp256k1 n, a federation RSA key) out of the context cache.
+  Rng rng(114);
+  const bignum::BigUint hot = rsa_generate(rng, 512).pub.n;
+  const auto before = bignum::MontgomeryCtx::cached(hot);
+  ASSERT_NE(before, nullptr);
+  for (int i = 0; i < 3; ++i) (void)rsa_generate(rng, 512);
+  EXPECT_EQ(bignum::MontgomeryCtx::cached(hot), before);
 }
 
 // --- RSA-CRT fast path vs the full-width reference ---

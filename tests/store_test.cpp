@@ -59,6 +59,14 @@ Bytes read_file(const std::string& path) {
                std::istreambuf_iterator<char>());
 }
 
+/// A snapshot or delta payload that is already in memory.
+PayloadWriter payload_of(Bytes bytes) {
+  return [bytes = std::move(bytes)](util::Writer& w) {
+    w.bytes(bytes);
+    return true;
+  };
+}
+
 void write_file(const std::string& path, util::ByteView data) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(data.data()),
@@ -271,7 +279,7 @@ TEST(Snapshot, RoundTripAndListing) {
   TempDir dir;
   const Bytes state = util::str_bytes("pretend chainstate");
   SnapshotInfo info;
-  ASSERT_TRUE(write_snapshot_file(dir.str(), 42, state, &info, nullptr));
+  ASSERT_TRUE(write_snapshot_file(dir.str(), 42, payload_of(state), &info, nullptr));
   EXPECT_EQ(info.seq, 42u);
 
   const auto listed = list_snapshots(dir.str());
@@ -289,8 +297,8 @@ TEST(Snapshot, CorruptFileIsSkippedNotFatal) {
   TempDir dir;
   SnapshotInfo info;
   ASSERT_TRUE(write_snapshot_file(dir.str(), 7,
-                                  util::str_bytes("snapshot body"), &info,
-                                  nullptr));
+                                  payload_of(util::str_bytes("snapshot body")),
+                                  &info, nullptr));
   Bytes raw = read_file(info.path);
   raw[raw.size() - 3] ^= 0x40;
   write_file(info.path, raw);
@@ -301,8 +309,8 @@ TEST(Snapshot, PruneKeepsNewest) {
   TempDir dir;
   for (std::uint64_t seq : {3u, 1u, 9u, 5u}) {
     ASSERT_TRUE(
-        write_snapshot_file(dir.str(), seq, util::str_bytes("s"), nullptr,
-                            nullptr));
+        write_snapshot_file(dir.str(), seq, payload_of(util::str_bytes("s")),
+                            nullptr, nullptr));
   }
   prune_snapshots(dir.str(), 2);
   const auto listed = list_snapshots(dir.str());
@@ -317,12 +325,12 @@ TEST(DeltaSnapshot, RoundTripListingAndPrune) {
   TempDir dir;
   const Bytes first = util::str_bytes("delta payload one");
   DeltaFileInfo info;
-  ASSERT_TRUE(write_delta_file(dir.str(), 4, 9, first, &info, nullptr));
+  ASSERT_TRUE(write_delta_file(dir.str(), 4, 9, payload_of(first), &info, nullptr));
   EXPECT_EQ(info.parent_seq, 4u);
   EXPECT_EQ(info.seq, 9u);
   ASSERT_TRUE(write_delta_file(dir.str(), 9, 14,
-                               util::str_bytes("delta payload two"), nullptr,
-                               nullptr));
+                               payload_of(util::str_bytes("delta payload two")),
+                               nullptr, nullptr));
 
   // Oldest first: the order deltas are applied on top of the base.
   auto listed = list_delta_files(dir.str());
@@ -348,8 +356,9 @@ TEST(DeltaSnapshot, TornFileAtEveryOffsetIsRejected) {
   TempDir dir;
   DeltaFileInfo info;
   ASSERT_TRUE(write_delta_file(dir.str(), 3, 8,
-                               util::str_bytes("a delta body that will be "
-                                               "torn at every offset"),
+                               payload_of(util::str_bytes(
+                                   "a delta body that will be torn at every "
+                                   "offset")),
                                &info, nullptr));
   const Bytes image = read_file(info.path);
 
@@ -372,6 +381,47 @@ TEST(DeltaSnapshot, TornFileAtEveryOffsetIsRejected) {
   EXPECT_TRUE(load_delta_file(info.path, &parent, &next).has_value());
   EXPECT_EQ(parent, 3u);
   EXPECT_EQ(next, 8u);
+}
+
+TEST(Snapshot, StreamedPayloadSpanningManyChunksRoundTrips) {
+  // A payload far larger than the 64 KiB streaming chunk, produced in many
+  // small records: length and CRC are patched into the header after the
+  // last chunk, so the file must load back byte for byte.
+  TempDir dir;
+  Bytes expected;
+  SnapshotInfo info;
+  ASSERT_TRUE(write_snapshot_file(
+      dir.str(), 11,
+      [&expected](util::Writer& w) {
+        for (std::uint32_t i = 0; i < 60000; ++i) {
+          w.u32(i * 2654435761u);
+          w.boundary();
+          util::Writer copy;
+          copy.u32(i * 2654435761u);
+          expected.insert(expected.end(), copy.data().begin(),
+                          copy.data().end());
+        }
+        return true;
+      },
+      &info, nullptr));
+  EXPECT_EQ(info.bytes, read_file(info.path).size());
+  const auto loaded = load_snapshot_file(info.path, nullptr);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, expected);
+
+  // A producer that gives up leaves no file behind.
+  DeltaFileInfo delta_info;
+  EXPECT_FALSE(write_delta_file(
+      dir.str(), 11, 12,
+      [](util::Writer& w) {
+        w.u32(7);
+        return false;
+      },
+      &delta_info, nullptr));
+  EXPECT_TRUE(list_delta_files(dir.str()).empty());
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir.path),
+                          fs::directory_iterator()),
+            1);
 }
 
 // --- ChainStore open-or-recover ---
@@ -765,6 +815,120 @@ TEST(ChainStore, DeltaAcrossReorgReopens) {
   EXPECT_EQ(h.chain->state_hash(), state);
 }
 
+Bytes newest_snapshot_payload(const std::string& dir) {
+  const auto listed = list_snapshots(dir);
+  if (listed.empty()) return {};
+  return load_snapshot_file(listed.front().path, nullptr).value_or(Bytes{});
+}
+
+Bytes newest_delta_payload(const std::string& dir) {
+  const auto listed = list_delta_files(dir);
+  if (listed.empty()) return {};
+  return load_delta_file(listed.back().path, nullptr, nullptr)
+      .value_or(Bytes{});
+}
+
+TEST(ChainStore, StreamedElementsEqualBufferedEncodings) {
+  // Bases stream from Blockchain::write_state and deltas from
+  // write_state_delta; the files must hold exactly serialize_state() and
+  // encode_state_delta(collect_state_delta(...)) — the latter taken on a
+  // copy of the chain just before the write. Covers a delta window with a
+  // reorg and, with undo pruning on, bases and deltas written after undo
+  // was pruned.
+  for (const int prune_depth : {-1, 1}) {
+    SCOPED_TRACE(prune_depth);
+    StoreHarness h;
+    h.opts.compact_every = 100;
+    h.opts.undo_prune_depth = prune_depth;
+    h.reopen();
+    std::vector<chain::Hash256> pending;
+    h.chain->set_block_sink(
+        [&h, &pending](const Block& b, const chain::BlockUndo* u) {
+          h.store->append_block(b, u);
+          pending.push_back(b.hash());
+        });
+    chain::Hash256 anchor{};
+    int anchor_height = -1;
+    const auto expect_delta_streams = [&] {
+      Blockchain oracle = *h.chain;
+      auto delta = oracle.collect_state_delta(anchor, anchor_height, pending);
+      ASSERT_TRUE(delta.has_value());
+      delta->parent_seq = h.store->last_element_seq();
+      delta->next_seq = h.store->next_seq();
+      ASSERT_TRUE(h.store->write_delta(*h.chain));
+      EXPECT_EQ(newest_delta_payload(h.dir.str()),
+                chain::encode_state_delta(*delta));
+      EXPECT_EQ(h.chain->state_hash(), oracle.state_hash());
+      anchor = h.chain->tip_hash();
+      anchor_height = h.chain->height();
+      pending.clear();
+    };
+
+    h.fund();
+    h.pay(2 * chain::kCoin);
+    const Bytes base = h.chain->serialize_state(prune_depth);
+    ASSERT_TRUE(h.store->write_snapshot(*h.chain));
+    EXPECT_EQ(newest_snapshot_payload(h.dir.str()), base);
+    anchor = h.chain->tip_hash();
+    anchor_height = h.chain->height();
+    pending.clear();
+
+    // Window 1: a payment block, then a rival branch that reorganizes it
+    // away.
+    h.pay(3 * chain::kCoin);
+    const int fork_height = h.chain->height() - 1;
+    Blockchain rival(h.params);
+    Mempool rival_pool(h.params);
+    Miner rival_miner(h.params, Wallet::from_seed("rival-stream").pkh());
+    for (int bh = 1; bh <= fork_height; ++bh) {
+      ASSERT_EQ(rival.accept_block(*h.chain->block_at(bh)),
+                AcceptBlockResult::kConnected);
+    }
+    std::uint64_t rt = 6000;
+    const Block r1 = rival_miner.mine(rival, rival_pool, ++rt);
+    ASSERT_EQ(rival.accept_block(r1), AcceptBlockResult::kConnected);
+    const Block r2 = rival_miner.mine(rival, rival_pool, ++rt);
+    ASSERT_EQ(rival.accept_block(r2), AcceptBlockResult::kConnected);
+    ASSERT_EQ(h.chain->accept_block(r1), AcceptBlockResult::kSideChain);
+    ASSERT_EQ(h.chain->accept_block(r2), AcceptBlockResult::kReorganized);
+    expect_delta_streams();
+
+    // Window 2: plain extension after the previous element pruned undo.
+    h.mine_blocks(3);
+    if (prune_depth >= 0) {
+      EXPECT_TRUE(h.chain->undo_pruned_at(1));
+    }
+    expect_delta_streams();
+
+    // A compacting base over the same chain, then a restart from disk.
+    const Bytes folded = h.chain->serialize_state(prune_depth);
+    ASSERT_TRUE(h.store->write_snapshot(*h.chain));
+    EXPECT_EQ(newest_snapshot_payload(h.dir.str()), folded);
+    const chain::Hash256 state = h.chain->state_hash();
+    h.reopen();
+    EXPECT_EQ(h.chain->state_hash(), state);
+  }
+}
+
+TEST(Blockchain, DrainedStateDumpMatchesBuffered) {
+  StoreHarness h;
+  h.fund();
+  h.pay(chain::kCoin);
+  Bytes streamed;
+  std::size_t drains = 0;
+  util::Writer w;
+  w.drain_to(
+      [&](util::ByteView chunk) {
+        streamed.insert(streamed.end(), chunk.begin(), chunk.end());
+        ++drains;
+      },
+      1);
+  h.chain->write_state(w);
+  w.flush();
+  EXPECT_EQ(streamed, h.chain->serialize_state());
+  EXPECT_GT(drains, 1u);
+}
+
 TEST(ChainStore, UndoPruneRefusesReorgPastPrunedBlocks) {
   StoreHarness h;
   h.opts.snapshot_interval = 2;
@@ -930,6 +1094,39 @@ TEST(UtxoSet, SerializationIsCanonical) {
   EXPECT_EQ(back->state_hash(), utxo.state_hash());
   EXPECT_EQ(back->serialize(), raw);  // canonical: same bytes either way
   EXPECT_EQ(back->total_value(), utxo.total_value());
+}
+
+TEST(UtxoSet, StreamedLengthPrefixedFormMatchesSerialize) {
+  // write_var precomputes the var_bytes length; cover every varint width of
+  // the prefix and scripts on both sides of the one-byte varint limit.
+  for (const std::uint32_t coins : {0u, 3u, 2000u}) {
+    chain::UtxoSet set;
+    for (std::uint32_t i = 0; i < coins; ++i) {
+      chain::OutPoint op;
+      op.txid[0] = static_cast<std::uint8_t>(i);
+      op.txid[1] = static_cast<std::uint8_t>(i >> 8);
+      op.index = i % 5;
+      chain::Coin coin;
+      coin.out.value = i;
+      coin.out.script_pubkey =
+          script::Script(Bytes(i % 7 == 0 ? 300 : i % 40, 0x51));
+      coin.height = static_cast<int>(i);
+      coin.coinbase = i % 2 == 0;
+      set.add(op, coin);
+    }
+    util::Writer expected;
+    expected.var_bytes(set.serialize());
+    Bytes streamed;
+    util::Writer w;
+    w.drain_to(
+        [&streamed](util::ByteView chunk) {
+          streamed.insert(streamed.end(), chunk.begin(), chunk.end());
+        },
+        64);
+    set.write_var(w);
+    w.flush();
+    EXPECT_EQ(streamed, expected.data()) << coins;
+  }
 }
 
 TEST(UtxoSet, JournalEmitsNetDiffOnly) {
