@@ -31,6 +31,7 @@
 #include "chain/validation.hpp"
 #include "chain/wallet.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_impl.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -267,18 +268,23 @@ int main() {
     const util::Bytes b = rng.bytes(32);
     std::copy(b.begin(), b.end(), leaf.begin());
   }
+  auto merkle_serial_ms = [&] {
+    return time_ms(kReps, [&] {
+      volatile std::uint8_t sink = chain::merkle_root(leaves, 1)[0];
+      (void)sink;
+    });
+  };
   crypto::sha256_select_backend("scalar");
-  const double merkle_scalar_ms = record("merkle_scalar_serial", time_ms(kReps, [&] {
-    volatile std::uint8_t sink = chain::merkle_root(leaves, 1)[0];
-    (void)sink;
-  }));
+  const double merkle_scalar_ms =
+      record("merkle_scalar_serial", merkle_serial_ms());
+  // AVX2 is dispatched only on CPUs without SHA-NI; force it through the
+  // seam so its batched kernel has a row on every AVX2 host.
+  if (detected != "avx2" && crypto::sha256_select_backend("avx2"))
+    record("merkle_avx2_serial", merkle_serial_ms());
   crypto::sha256_select_backend("auto");
   const double merkle_simd_ms = record(
       std::string("merkle_") + crypto::sha256_backend_name() + "_serial",
-      time_ms(kReps, [&] {
-        volatile std::uint8_t sink = chain::merkle_root(leaves, 1)[0];
-        (void)sink;
-      }));
+      merkle_serial_ms());
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const double merkle_par_ms = record(
       std::string("merkle_") + crypto::sha256_backend_name() + "_t" +

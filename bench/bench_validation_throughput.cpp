@@ -1,31 +1,29 @@
-// VAL-TPUT — block-validation throughput across the pipeline ablations.
+// VAL-TPUT — block-validation throughput.
 //
 // The paper's Fig. 6 stall is block *verification* saturating the daemon;
-// this bench measures what the three optimizations buy on connect_block:
+// this bench measures connect_block on one block of fresh P2PKH spends:
 //
-//   serial_baseline            threads=1, caches off, Montgomery off,
-//                              reference double-and-add ECDSA
-//   parallel (thread sweep)    check-queue only
-//   parallel_cache             + salted sig/script-execution caches, warmed
-//                                the way production warms them (every tx was
-//                                fully validated at mempool admission)
-//   parallel_cache_montgomery  + Montgomery-form bignum fast path
+//   serial_baseline     threads=1, caches off: every signature is verified
+//                       for real (the first-sync / adversarial-flood regime)
+//   parallel (sweep)    + check queue at 2/4/8 threads
+//   parallel_cache      + salted sig/script-execution caches, warmed the
+//                         way production warms them (every tx was fully
+//                         validated at mempool admission)
 //
-// Cold-path ablation (sigcache off — every signature is verified for real,
-// the first-sync / adversarial-flood regime):
+// and the two crypto fast paths against the oracles their tests use:
 //
-//   cold_reference             Montgomery on, reference ECDSA ladder
-//   cold_wnaf                  + windowed-NAF scalar mul, Jacobian coords
-//   cold_shamir                + Shamir's trick (u1*G + u2*Q in one pass)
-//   cold_shamir_t8             + 8-thread check queue
-//
-// plus an OP_CHECKRSA512PAIR reveal block timed with the plain full-width
-// private exponent vs RSA-CRT (rsa_plain_ms / rsa_crt_ms).
+//   cold_speedup_vs_serial  reference-ladder ECDSA verify
+//                           (ecdsa_verify_digest_oracle) over the block's
+//                           input signatures / production ecdsa_verify_digest
+//                           over the same set
+//   rsa_crt_speedup         full-width OP_CHECKRSA512PAIR probe round trip
+//                           over the reveal keys / production
+//                           rsa_pair_matches (CRT recovered from the wire key)
 //
 // Every configuration connects the *same* block from the same starting UTXO
-// set; the serial and parallel verdicts AND the reference-vs-fast-backend
-// verdicts (including a corrupted-block rejection) are cross-checked before
-// any timing is reported. Results are printed and written as JSON to
+// set; serial and parallel verdicts (including a corrupted-block rejection)
+// and production-vs-oracle signature verdicts are cross-checked before any
+// timing is reported. Results are printed and written as JSON to
 // BENCH_validation.json.
 //
 // BCWAN_SMOKE=1 shrinks the workload for CI sanity runs (e.g. under TSan).
@@ -38,7 +36,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "bignum/montgomery.hpp"
 #include "chain/blockchain.hpp"
 #include "chain/mempool.hpp"
 #include "chain/miner.hpp"
@@ -76,10 +73,81 @@ struct ConfigResult {
   std::string name;
   unsigned threads = 1;
   bool cache = false;
-  bool montgomery = false;
-  std::string backend = "reference";
   double connect_ms_mean = 0.0;
 };
+
+struct PairedMs {
+  double slow = 0.0;
+  double fast = 0.0;
+};
+
+/// Times two implementations of one per-item check, interleaved: item i
+/// runs `slow(i)` then `fast(i)` back to back, so load drifting on a shared
+/// machine hits both sides alike. One untimed warm-up pass (fills the
+/// per-thread caches production keeps warm), then the median over `reps`
+/// timed passes. Exits if either side rejects an item.
+template <typename Slow, typename Fast>
+PairedMs paired_median_ms(int reps, std::size_t items, Slow&& slow,
+                          Fast&& fast) {
+  auto check = [](bool ok) {
+    if (!ok) {
+      std::printf("unexpected rejection in a timed check\n");
+      std::exit(1);
+    }
+  };
+  for (std::size_t i = 0; i < items; ++i) check(slow(i) && fast(i));
+  util::SampleStats slow_ms, fast_ms;
+  for (int rep = 0; rep < reps; ++rep) {
+    double slow_sum = 0.0, fast_sum = 0.0;
+    for (std::size_t i = 0; i < items; ++i) {
+      const auto t0 = Clock::now();
+      check(slow(i));
+      const auto t1 = Clock::now();
+      check(fast(i));
+      const auto t2 = Clock::now();
+      slow_sum += std::chrono::duration<double, std::milli>(t1 - t0).count();
+      fast_sum += std::chrono::duration<double, std::milli>(t2 - t1).count();
+    }
+    slow_ms.add(slow_sum);
+    fast_ms.add(fast_sum);
+  }
+  return {slow_ms.median(), fast_ms.median()};
+}
+
+struct InputSig {
+  crypto::EcPoint pub;
+  crypto::Digest256 digest;
+  crypto::EcdsaSignature sig;
+};
+
+/// The (pubkey, sighash, signature) of input 0 of every spend in `block`;
+/// each spends a P2PKH output paying `spent`.
+std::vector<InputSig> input_signatures(const chain::Block& block,
+                                       const script::Script& spent) {
+  std::vector<InputSig> out;
+  for (std::size_t t = 1; t < block.txs.size(); ++t) {
+    const chain::Transaction& tx = block.txs[t];
+    const auto ops = tx.vin[0].script_sig.decode();
+    if (!ops || ops->size() != 2) continue;
+    const auto sig = crypto::EcdsaSignature::deserialize((*ops)[0].push);
+    const auto pub = crypto::ec_pubkey_decode((*ops)[1].push);
+    if (!sig || !pub) continue;
+    out.push_back({*pub, chain::PrecomputedTxData(tx).sighash(0, spent), *sig});
+  }
+  return out;
+}
+
+/// rsa_pair_matches' probe round trip with the full-width private exponent.
+bool full_width_pair_matches(const crypto::RsaPublicKey& pub,
+                             const crypto::RsaPrivateKey& priv) {
+  if (!(pub.n == priv.n)) return false;
+  for (std::uint64_t probe : {0x42ULL, 0xdeadbeefULL}) {
+    const bignum::BigUint x = bignum::BigUint(probe) % pub.n;
+    const bignum::BigUint y = bignum::BigUint::mod_exp(x, pub.e, pub.n);
+    if (!(bignum::BigUint::mod_exp(y, priv.d, priv.n) == x)) return false;
+  }
+  return true;
+}
 
 void set_caches(bool enabled) {
   chain::sig_cache().set_enabled(enabled);
@@ -95,7 +163,7 @@ int main() {
 
   const bool smoke = std::getenv("BCWAN_SMOKE") != nullptr;
   const std::size_t kTxs = smoke ? 24 : 160;
-  const int kReps = smoke ? 2 : 5;
+  const int kReps = 5;  // smoke shrinks the block, not the repetitions
 
   chain::ChainParams params;
   params.pow_zero_bits = 4;
@@ -179,38 +247,29 @@ int main() {
                       r3.failed_tx_index == r4.failed_tx_index &&
                       r3.tx_failure.error == r4.tx_failure.error &&
                       r3.tx_failure.script_error == r4.tx_failure.script_error;
-
-    // Cross-check the ECDSA backends the same way: the wNAF/Shamir fast
-    // paths must accept the valid block and reject the corrupted one at the
-    // same transaction with the same error as the reference ladder.
-    for (const char* backend : {"reference", "wnaf", "shamir"}) {
-      if (!crypto::ecdsa_select_backend(backend)) {
-        verdicts_match = false;
-        break;
-      }
-      set_caches(false);
-      chain::UtxoSet ub1 = bc.utxo();
-      chain::UtxoSet ub2 = bc.utxo();
-      chain::BlockUndo undo_b1, undo_b2;
-      const auto rb1 = chain::connect_block(block, ub1, height, serial_p,
-                                            undo_b1);
-      const auto rb2 = chain::connect_block(bad, ub2, height, serial_p,
-                                            undo_b2);
-      verdicts_match &= rb1.ok() && !rb2.ok() && rb2.error == r3.error &&
-                        rb2.failed_tx_index == r3.failed_tx_index &&
-                        rb2.tx_failure.script_error ==
-                            r3.tx_failure.script_error;
-    }
-    crypto::ecdsa_select_backend("auto");
   }
-  std::printf("serial/parallel + reference/fast-backend verdicts match: %s\n\n",
+  // Production verify and the reference-ladder oracle must accept every
+  // input signature and reject a tampered one.
+  const std::vector<InputSig> sigs = input_signatures(block, alice_script);
+  verdicts_match &= sigs.size() + 1 == block.txs.size();
+  for (const InputSig& in : sigs)
+    verdicts_match &= crypto::ecdsa_verify_digest(in.pub, in.digest, in.sig) &&
+                      crypto::ecdsa_verify_digest_oracle(in.pub, in.digest,
+                                                         in.sig);
+  if (!sigs.empty()) {
+    InputSig bad_sig = sigs.front();
+    bad_sig.sig.s = bad_sig.sig.s + bignum::BigUint(1);
+    verdicts_match &=
+        !crypto::ecdsa_verify_digest(bad_sig.pub, bad_sig.digest,
+                                     bad_sig.sig) &&
+        !crypto::ecdsa_verify_digest_oracle(bad_sig.pub, bad_sig.digest,
+                                            bad_sig.sig);
+  }
+  std::printf("serial/parallel + production/oracle verdicts match: %s\n\n",
               verdicts_match ? "yes" : "NO — BUG");
 
   // --- Timed configurations ----------------------------------------------
-  auto measure = [&](const std::string& name, unsigned threads, bool cache,
-                     bool montgomery, const char* backend) {
-    bignum::set_montgomery_enabled(montgomery);
-    crypto::ecdsa_select_backend(backend);
+  auto measure = [&](const std::string& name, unsigned threads, bool cache) {
     set_caches(cache);
     chain::ChainParams p = params;
     p.script_check_threads = threads;
@@ -234,68 +293,55 @@ int main() {
       total_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
       chain::disconnect_block(undo, utxo);
     }
-    ConfigResult r{name, threads, cache, montgomery, backend,
-                   total_ms / kReps};
-    std::printf("%-28s threads=%u cache=%d mont=%d ecdsa=%-9s : %8.2f "
-                "ms/connect\n",
-                r.name.c_str(), threads, cache, montgomery, backend,
-                r.connect_ms_mean);
+    ConfigResult r{name, threads, cache, total_ms / kReps};
+    std::printf("%-20s threads=%u cache=%d : %8.2f ms/connect\n",
+                r.name.c_str(), threads, cache, r.connect_ms_mean);
     return r;
   };
 
   std::vector<ConfigResult> results;
-  results.push_back(measure("serial_baseline", 1, false, false, "reference"));
-  // Montgomery in isolation (ECDSA field/scalar mod_mul + mod_exp): visible
-  // here because the cached configs skip script execution entirely.
-  results.push_back(measure("serial_montgomery", 1, false, true, "reference"));
+  results.push_back(measure("serial_baseline", 1, false));
   for (unsigned threads : {2u, 4u, 8u}) {
     results.push_back(measure("parallel_t" + std::to_string(threads), threads,
-                              false, false, "reference"));
+                              false));
   }
-  results.push_back(measure("parallel_cache", 8, true, false, "reference"));
-  results.push_back(
-      measure("parallel_cache_montgomery", 8, true, true, "reference"));
-
-  // Cold-path ablation: sigcache off, so every connect verifies every
-  // signature. serial_montgomery above doubles as the reference-crypto
-  // datum (cold_reference repeats it under its ablation name so the
-  // quartet reads off one table).
-  results.push_back(measure("cold_reference", 1, false, true, "reference"));
-  results.push_back(measure("cold_wnaf", 1, false, true, "wnaf"));
-  results.push_back(measure("cold_shamir", 1, false, true, "shamir"));
-  results.push_back(measure("cold_shamir_t8", 8, false, true, "shamir"));
-  bignum::set_montgomery_enabled(true);
-  crypto::ecdsa_select_backend("auto");
+  results.push_back(measure("parallel_cache", 8, true));
   set_caches(true);
 
   const double baseline = results.front().connect_ms_mean;
-  double cold_connect_ms = 0.0;
-  for (const ConfigResult& r : results)
-    if (r.name == "cold_shamir") cold_connect_ms = r.connect_ms_mean;
-  const double cold_speedup =
-      cold_connect_ms > 0.0 ? baseline / cold_connect_ms : 0.0;
   double best = baseline;
   for (const ConfigResult& r : results)
     best = std::min(best, r.connect_ms_mean);
-  std::printf("\nfull pipeline speedup vs serial baseline: %.1fx %s\n",
-              baseline / best,
-              (baseline / best >= 3.0 ? "(target >= 3x met)" : ""));
-  std::printf("cold connect (sigcache off, shamir): %.2f ms, %.1fx vs serial "
-              "%s\n",
-              cold_connect_ms, cold_speedup,
-              (cold_speedup >= 5.0 ? "(target >= 5x met)" : ""));
+  std::printf("\nfull pipeline speedup vs serial baseline: %.1fx\n",
+              baseline / best);
+
+  // --- ECDSA: production verify vs the reference-ladder oracle -----------
+  const PairedMs verify_ms = paired_median_ms(
+      kReps, sigs.size(),
+      [&](std::size_t i) {
+        return crypto::ecdsa_verify_digest_oracle(sigs[i].pub, sigs[i].digest,
+                                                  sigs[i].sig);
+      },
+      [&](std::size_t i) {
+        return crypto::ecdsa_verify_digest(sigs[i].pub, sigs[i].digest,
+                                           sigs[i].sig);
+      });
+  const double cold_speedup =
+      verify_ms.fast > 0.0 ? verify_ms.slow / verify_ms.fast : 0.0;
+  std::printf("ecdsa verify x%zu: oracle ladder %.2f ms -> production %.2f ms "
+              "(%.1fx)\n",
+              sigs.size(), verify_ms.slow, verify_ms.fast, cold_speedup);
 
   // The reveal section below mines new blocks (advancing bc and spending
   // alice's coins), which invalidates `block` against the future UTXO set;
   // snapshot the current state for the telemetry passes at the end.
   const chain::UtxoSet pre_rsa_utxo = bc.utxo();
 
-  // --- OP_CHECKRSA512PAIR reveal block: plain exponent vs RSA-CRT ---------
-  // Offers are mined first; the block under test is all redeems, each of
-  // which reveals a wire-format (n||e||d) private key that the verifier's
-  // OP_CHECKRSA512PAIR must check against the locked public key. The CRT
-  // parameters are recovered from (e, d) and cached per thread, exactly the
-  // production path for on-chain reveals.
+  // --- OP_CHECKRSA512PAIR reveal block ------------------------------------
+  // Offers are mined first; the reveal block is all redeems, each of which
+  // reveals a wire-format (n||e||d) private key that the verifier's
+  // OP_CHECKRSA512PAIR must check against the locked public key. Its keys
+  // are timed below; the block itself feeds the telemetry snapshot.
   const std::size_t kReveals = smoke ? 2 : 8;
   util::Rng rsa_rng(4242);
   std::vector<crypto::RsaKeyPair> ephemerals;
@@ -323,38 +369,29 @@ int main() {
   const int rsa_height = bc.height() + 1;
   const std::size_t rsa_reveal_txs = rsa_block.txs.size() - 1;
 
-  auto measure_rsa = [&](const char* name, bool crt) {
-    crypto::set_rsa_crt_enabled(crt);
-    set_caches(false);
-    chain::UtxoSet utxo = bc.utxo();
-    chain::BlockUndo undo;
-    double total_ms = 0.0;
-    for (int rep = 0; rep < kReps; ++rep) {
-      const auto t0 = Clock::now();
-      const auto result =
-          chain::connect_block(rsa_block, utxo, rsa_height, params, undo);
-      const auto t1 = Clock::now();
-      if (!result.ok()) {
-        std::printf("unexpected failure in %s\n", name);
-        std::exit(1);
-      }
-      total_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
-      chain::disconnect_block(undo, utxo);
-    }
-    const double mean = total_ms / kReps;
-    std::printf("%-28s %zu reveals                                : %8.2f "
-                "ms/connect\n",
-                name, rsa_reveal_txs, mean);
-    return mean;
-  };
-  const double rsa_plain_ms = measure_rsa("rsa_reveal_plain", false);
-  const double rsa_crt_ms = measure_rsa("rsa_reveal_crt", true);
+  // --- OP_CHECKRSA512PAIR: full-width exponent vs production CRT ---------
+  // The reveal keys in wire format (n||e||d, no CRT fields), exactly what
+  // the verifier deserializes from a redeem; production recovers CRT from
+  // (e, d) and caches it per thread, so the warm-up pass pays recovery.
+  std::vector<crypto::RsaPrivateKey> wire_keys;
+  for (std::size_t i = 0; i < offers.size(); ++i)
+    wire_keys.push_back(
+        *crypto::RsaPrivateKey::deserialize(ephemerals[i].priv.serialize()));
+  const PairedMs pair_ms = paired_median_ms(
+      kReps, wire_keys.size(),
+      [&](std::size_t i) {
+        return full_width_pair_matches(ephemerals[i].pub, wire_keys[i]);
+      },
+      [&](std::size_t i) {
+        return crypto::rsa_pair_matches(ephemerals[i].pub, wire_keys[i]);
+      });
+  const double rsa_plain_ms = pair_ms.slow;
+  const double rsa_crt_ms = pair_ms.fast;
   const double rsa_crt_speedup =
       rsa_crt_ms > 0.0 ? rsa_plain_ms / rsa_crt_ms : 0.0;
-  crypto::set_rsa_crt_enabled(true);
-  set_caches(true);
-  std::printf("rsa reveal connect: plain %.2f ms -> crt %.2f ms (%.2fx)\n",
-              rsa_plain_ms, rsa_crt_ms, rsa_crt_speedup);
+  std::printf("rsa pair check x%zu: full-width %.3f ms -> crt %.3f ms "
+              "(%.2fx)\n",
+              wire_keys.size(), rsa_plain_ms, rsa_crt_ms, rsa_crt_speedup);
 
   std::FILE* f = std::fopen("BENCH_validation.json", "w");
   if (f != nullptr) {
@@ -366,7 +403,10 @@ int main() {
     w.uint("hardware_threads", std::thread::hardware_concurrency());
     w.integer("repetitions", kReps);
     w.boolean("verdicts_match", verdicts_match);
-    w.num("cold_connect_ms", cold_connect_ms, "%.3f");
+    w.num("cold_connect_ms", baseline, "%.3f");
+    w.uint("verified_signatures", sigs.size());
+    w.num("oracle_verify_ms", verify_ms.slow, "%.3f");
+    w.num("verify_ms", verify_ms.fast, "%.3f");
     w.num("cold_speedup_vs_serial", cold_speedup, "%.2f");
     w.uint("rsa_reveal_txs", rsa_reveal_txs);
     w.num("rsa_plain_ms", rsa_plain_ms, "%.3f");
@@ -378,8 +418,6 @@ int main() {
       w.str("name", r.name);
       w.uint("threads", r.threads);
       w.boolean("sigcache", r.cache);
-      w.boolean("montgomery", r.montgomery);
-      w.str("ecdsa_backend", r.backend);
       w.num("connect_ms_mean", r.connect_ms_mean, "%.3f");
       w.num("speedup_vs_serial", baseline / r.connect_ms_mean, "%.2f");
       w.end_object();

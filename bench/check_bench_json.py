@@ -3,13 +3,17 @@
 
 Validates every BENCH_*.json / TELEMETRY_*.json in a results directory
 against a per-experiment schema, then compares each experiment's headline
-metric against the committed baseline of the same name. A smoke run whose
+metric against the committed baseline of the same name. A run whose
 headline regresses more than the allowed fraction (default 30%) fails the
 job — catching "the persistence refactor made replay 10x slower" before it
 merges, without demanding bit-identical timings from shared CI runners.
+Smoke runs are compared with the smoke baselines in smoke_baselines/, full
+runs with the full baselines at the repo root; comparing a result with a
+baseline whose `smoke` flag differs is a usage error.
 
 Usage:
-  check_bench_json.py --results build/bench --baseline . [--threshold 0.30]
+  check_bench_json.py --results build/bench --baseline smoke_baselines
+  check_bench_json.py --results build/bench --baseline .   # full runs
 
 Exit codes: 0 ok, 1 regression, 2 schema violation, 3 usage/io error.
 """
@@ -134,9 +138,6 @@ HEADLINES = {
                  ("rsa_crt_speedup", "higher")],
     "HASH-TPUT": [("sighash_speedup_vs_naive", "higher")],
     "ADV-MATRIX": [("defense_success_ratio", "higher")],
-    # SCALE smoke runs a much smaller city than the committed full
-    # baseline, so a smoke run's per-second throughput sits *above* the
-    # baseline; the gate still catches order-of-magnitude slowdowns.
     "SCALE": [("exchanges_per_sec_wall", "higher"),
               ("peak_rss_gib", "lower")],
     # Real-socket exchange throughput: localhost RTTs are stable enough on
@@ -220,6 +221,10 @@ def check_regression(path, doc, baseline_dir, threshold):
               "regression check")
         return
     base = load(base_path)
+    if base.get("smoke") != doc.get("smoke"):
+        fail(3, f"{path}: smoke={doc.get('smoke')} result compared with "
+                f"smoke={base.get('smoke')} baseline {base_path}; use the "
+                "baseline set of the same run size")
     for metric, direction in HEADLINES[doc["experiment"]]:
         fresh_value = headline_value(doc, metric)
         base_value = headline_value(base, metric)

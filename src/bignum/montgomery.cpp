@@ -1,7 +1,6 @@
 #include "bignum/montgomery.hpp"
 
 #include <array>
-#include <atomic>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -13,8 +12,6 @@ namespace {
 using u64 = std::uint64_t;
 using u128 = unsigned __int128;
 using Limbs = std::array<u64, MontgomeryCtx::kMaxLimbs>;
-
-std::atomic<bool> g_montgomery_enabled{true};
 
 /// Inverse of an odd 64-bit value mod 2^64 by Newton iteration: each step
 /// doubles the number of correct low bits; five steps from the 3-bit seed
@@ -28,14 +25,6 @@ u64 inv64(u64 odd) {
 constexpr std::size_t kCtxCacheCap = 64;
 
 }  // namespace
-
-bool montgomery_enabled() noexcept {
-  return g_montgomery_enabled.load(std::memory_order_relaxed);
-}
-
-void set_montgomery_enabled(bool enabled) noexcept {
-  g_montgomery_enabled.store(enabled, std::memory_order_relaxed);
-}
 
 MontgomeryCtx::MontgomeryCtx(const BigUint& modulus) : m_(modulus) {
   if (m_.is_zero() || m_.is_one() || m_.is_even())
@@ -247,7 +236,6 @@ bool MontgomeryCtx::strong_probable_prime(const BigUint& base,
 
 std::shared_ptr<const MontgomeryCtx> MontgomeryCtx::cached(
     const BigUint& modulus) {
-  if (!montgomery_enabled()) return nullptr;
   // Single-limb moduli already hit BigUint's one-word division fast path;
   // even moduli have no Montgomery form.
   if (modulus.is_even() || modulus.bit_length() <= 32 ||

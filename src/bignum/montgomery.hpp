@@ -24,9 +24,9 @@
 // parallel script-check workers. One-shot moduli (prime candidates during
 // key generation) construct a context directly and never enter the cache.
 // The classic square-and-multiply / schoolbook-division code remains in
-// BigUint as the reference (`mod_exp_basic` / `mod_mul_basic`): the test
-// oracle, and the path for even moduli, for which Montgomery reduction is
-// undefined.
+// BigUint (`mod_exp_basic` / `mod_mul_basic`): the test oracle, and the
+// production path for even moduli, for which Montgomery reduction is
+// undefined, and for moduli of at most 32 bits.
 #pragma once
 
 #include <cstddef>
@@ -65,8 +65,7 @@ class MontgomeryCtx {
 
   /// Memoized context for `modulus` from a bounded thread-local MRU cache.
   /// nullptr when the fast path does not apply: modulus even, zero, one,
-  /// at most 32 bits, wider than kMaxLimbs limbs, or Montgomery globally
-  /// disabled (bench ablations).
+  /// at most 32 bits, or wider than kMaxLimbs limbs.
   static std::shared_ptr<const MontgomeryCtx> cached(const BigUint& modulus);
 
  private:
@@ -97,11 +96,5 @@ class MontgomeryCtx {
   std::vector<std::uint64_t> consts_;
   std::uint64_t n0inv_ = 0;  // -m[0]^-1 mod 2^64
 };
-
-/// Global kill switch for the fast path (default on). The bench ablation
-/// flips it to isolate Montgomery's contribution; reads are relaxed atomics
-/// so the hot path pays one load.
-bool montgomery_enabled() noexcept;
-void set_montgomery_enabled(bool enabled) noexcept;
 
 }  // namespace bcwan::bignum

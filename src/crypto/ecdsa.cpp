@@ -209,6 +209,10 @@ std::optional<EcPoint> ec_pubkey_decode(util::ByteView data) {
   if (data.size() != 65 || data[0] != 0x04) return std::nullopt;
   EcPoint p{BigUint::from_bytes_be(data.subspan(1, 32)),
             BigUint::from_bytes_be(data.subspan(33, 32)), false};
+  // Canonical coordinates only (as libsecp256k1): x+p would satisfy the
+  // curve equation mod p too, giving one key two encodings and two P2PKH
+  // hashes.
+  if (p.x >= field_p() || p.y >= field_p()) return std::nullopt;
   if (!Secp256k1::on_curve(p)) return std::nullopt;
   return p;
 }
@@ -225,9 +229,6 @@ EcdsaSignature ecdsa_sign_digest(const BigUint& priv, const Digest256& digest) {
   for (std::uint32_t counter = 0;; ++counter) {
     const BigUint k = deterministic_nonce(priv, digest, counter);
     if (k.is_zero()) continue;
-    // Backend-dispatched fixed-base multiply: the wNAF table path and the
-    // reference ladder produce the identical point, so signatures are
-    // byte-identical across backends (differentially tested).
     const EcPoint rp = ec_mul_gen(k);
     if (rp.infinity) continue;
     const BigUint r = rp.x % n;
@@ -248,46 +249,52 @@ bool ecdsa_verify(const EcPoint& pub, util::ByteView message,
   return ecdsa_verify_digest(pub, sha256d(message), sig);
 }
 
-bool ecdsa_verify_digest(const EcPoint& pub, const Digest256& digest,
-                         const EcdsaSignature& sig) {
+namespace {
+
+struct VerifyScalars {
+  BigUint u1, u2;
+};
+
+// Range and curve checks, then u1 = z/s and u2 = r/s mod n. Shared by the
+// production verifier and its oracle, so the two differ only in how they
+// compute u1*G + u2*Q.
+std::optional<VerifyScalars> verify_scalars(const EcPoint& pub,
+                                            const Digest256& digest,
+                                            const EcdsaSignature& sig) {
   const BigUint& n = order_n();
-  if (sig.r.is_zero() || sig.s.is_zero()) return false;
-  if (sig.r >= n || sig.s >= n) return false;
-  if (pub.infinity || !Secp256k1::on_curve(pub)) return false;
+  if (sig.r.is_zero() || sig.s.is_zero()) return std::nullopt;
+  if (sig.r >= n || sig.s >= n) return std::nullopt;
+  if (pub.infinity || !Secp256k1::on_curve(pub)) return std::nullopt;
 
   const BigUint z =
       BigUint::from_bytes_be(util::ByteView(digest.data(), digest.size())) % n;
   const auto s_inv = BigUint::mod_inv(sig.s, n);
-  if (!s_inv) return false;
-  const BigUint u1 = BigUint::mod_mul(z, *s_inv, n);
-  const BigUint u2 = BigUint::mod_mul(sig.r, *s_inv, n);
+  if (!s_inv) return std::nullopt;
+  return VerifyScalars{BigUint::mod_mul(z, *s_inv, n),
+                       BigUint::mod_mul(sig.r, *s_inv, n)};
+}
 
-  switch (ecdsa_backend()) {
-    case EcdsaBackend::kShamir: {
-      // Single interleaved double-scalar pass: one doubling chain serves
-      // both u1*G (mixed adds against the shared fixed-base table) and
-      // u2*Q, with one field inversion at the very end.
-      const EcPoint sum = ec_shamir(u1, u2, pub);
-      if (sum.infinity) return false;
-      return sum.x % n == sig.r;
-    }
-    case EcdsaBackend::kWnaf: {
-      // Ablation midpoint: both scalar muls on the wNAF fast core, but
-      // combined through the reference affine addition (two extra
-      // inversions vs Shamir — exactly what the bench isolates).
-      const EcPoint sum =
-          Secp256k1::add(ec_mul_gen_wnaf(u1), ec_mul_wnaf(u2, pub));
-      if (sum.infinity) return false;
-      return sum.x % n == sig.r;
-    }
-    case EcdsaBackend::kReference:
-      break;
-  }
-  const Jacobian sum = jac_add(jac_mul(u1, to_jacobian(gen_g())),
-                               jac_mul(u2, to_jacobian(pub)));
-  if (sum.infinity) return false;
-  const EcPoint affine = from_jacobian(sum);
-  return affine.x % n == sig.r;
+bool sum_matches_r(const EcPoint& sum, const EcdsaSignature& sig) {
+  return !sum.infinity && sum.x % order_n() == sig.r;
+}
+
+}  // namespace
+
+bool ecdsa_verify_digest(const EcPoint& pub, const Digest256& digest,
+                         const EcdsaSignature& sig) {
+  const auto u = verify_scalars(pub, digest, sig);
+  // Single interleaved double-scalar pass: one doubling chain serves both
+  // u1*G (mixed adds against the shared fixed-base table) and u2*Q, with
+  // one field inversion at the very end.
+  return u && sum_matches_r(ec_shamir(u->u1, u->u2, pub), sig);
+}
+
+bool ecdsa_verify_digest_oracle(const EcPoint& pub, const Digest256& digest,
+                                const EcdsaSignature& sig) {
+  const auto u = verify_scalars(pub, digest, sig);
+  return u && sum_matches_r(Secp256k1::add(Secp256k1::mul(u->u1, gen_g()),
+                                           Secp256k1::mul(u->u2, pub)),
+                            sig);
 }
 
 }  // namespace bcwan::crypto

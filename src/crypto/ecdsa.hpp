@@ -12,7 +12,6 @@
 #pragma once
 
 #include <optional>
-#include <string_view>
 
 #include "bignum/biguint.hpp"
 #include "crypto/sha256.hpp"
@@ -34,11 +33,11 @@ struct EcPoint {
   }
 };
 
-/// secp256k1 group operations and parameters. `mul` is the *reference*
-/// double-and-add ladder over BigUint field arithmetic — deliberately left
-/// untouched so the wNAF/Shamir fast paths below always have a differential
-/// oracle to answer to (the `mod_exp_basic`/Montgomery split in bignum/ is
-/// the template).
+/// secp256k1 group operations and parameters. `mul`/`add` are the
+/// *reference* double-and-add ladder over BigUint field arithmetic — the
+/// test oracle the fast core below answers to. No production call reaches
+/// them: key derivation, signing and verification all run on
+/// secp256k1_fast.cpp.
 class Secp256k1 {
  public:
   static const bignum::BigUint& p();  // field prime
@@ -50,41 +49,24 @@ class Secp256k1 {
   static bool on_curve(const EcPoint& point);
 };
 
-// --- Cold-path fast scalar multiplication (secp256k1_fast.cpp) -------------
+// --- Fast scalar multiplication (secp256k1_fast.cpp) -----------------------
 //
 // A dedicated fixed-width field core (8x32 limbs, Montgomery domain, one
 // CIOS pass per multiply, no heap) plus windowed-NAF recoding. Precomputed
 // odd-multiple tables for the generator are built exactly once (race-free
-// magic-static init) and shared by every thread; `ecdsa_sign_digest` and
-// `ecdsa_verify_digest` dispatch onto these according to the selected
-// backend. All three functions reduce `k` mod n first, exactly like
-// Secp256k1::mul, so they are drop-in interchangeable with the oracle.
+// magic-static init) and shared by every thread. Both functions reduce
+// their scalars mod n first, exactly like Secp256k1::mul, so they are
+// drop-in interchangeable with the oracle.
 
-/// k * point via 5-bit wNAF over a per-call odd-multiple table.
-EcPoint ec_mul_wnaf(const bignum::BigUint& k, const EcPoint& point);
-
-/// k * G via 7-bit wNAF over the shared precomputed generator table.
-EcPoint ec_mul_gen_wnaf(const bignum::BigUint& k);
+/// k * G via 7-bit wNAF over the shared precomputed generator table (key
+/// derivation, nonce points).
+EcPoint ec_mul_gen(const bignum::BigUint& k);
 
 /// u1*G + u2*Q in a single interleaved double-scalar pass (Shamir's trick):
 /// one shared doubling chain, mixed additions against the fixed-base table,
 /// Jacobian coordinates throughout with one final inversion.
 EcPoint ec_shamir(const bignum::BigUint& u1, const bignum::BigUint& u2,
                   const EcPoint& q);
-
-/// Backend-dispatched fixed-base multiply (key derivation, nonce points).
-EcPoint ec_mul_gen(const bignum::BigUint& k);
-
-/// ECDSA backend pin, mirroring BCWAN_SHA256_BACKEND: the environment
-/// variable BCWAN_ECDSA_BACKEND=reference|wnaf|shamir pins the dispatch for
-/// the whole run (CI runs the suite once with `reference` forced so a
-/// silent fast-path divergence cannot hide behind its own code). `auto`
-/// resolves to shamir. Unknown names leave the selection unchanged and
-/// return false.
-enum class EcdsaBackend { kReference, kWnaf, kShamir };
-EcdsaBackend ecdsa_backend() noexcept;
-bool ecdsa_select_backend(std::string_view name) noexcept;
-const char* ecdsa_backend_name() noexcept;
 
 /// Batched-verification warmup: forces the one-time generator tables and
 /// primes this thread's Montgomery contexts for the curve moduli, so a
@@ -115,7 +97,8 @@ EcKeyPair ec_generate(util::Rng& rng);
 /// actors stable identities).
 EcKeyPair ec_from_seed(util::ByteView seed);
 
-/// Uncompressed SEC1 encoding: 0x04 || X (32) || Y (32).
+/// Uncompressed SEC1 encoding: 0x04 || X (32) || Y (32). Decoding rejects
+/// coordinates >= p, so every point has exactly one encoding.
 util::Bytes ec_pubkey_encode(const EcPoint& pub);
 std::optional<EcPoint> ec_pubkey_decode(util::ByteView data);
 
@@ -135,5 +118,10 @@ EcdsaSignature ecdsa_sign_digest(const bignum::BigUint& priv,
 
 bool ecdsa_verify_digest(const EcPoint& pub, const Digest256& digest,
                          const EcdsaSignature& sig);
+
+/// The same verification with u1*G + u2*Q computed on the reference ladder
+/// (Secp256k1::mul/add): the differential oracle for ecdsa_verify_digest.
+bool ecdsa_verify_digest_oracle(const EcPoint& pub, const Digest256& digest,
+                                const EcdsaSignature& sig);
 
 }  // namespace bcwan::crypto

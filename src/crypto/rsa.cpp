@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -38,16 +36,6 @@ BigUint pow_mod(const std::shared_ptr<const MontgomeryCtx>& ctx,
 }
 
 std::atomic<std::uint64_t> g_crt_faults{0};
-
-std::atomic<bool>& crt_enabled_flag() {
-  // Magic static: the env var is read exactly once, race-free, the first
-  // time any thread asks (same pattern as the SHA-256 backend pin).
-  static std::atomic<bool> flag{[] {
-    const char* env = std::getenv("BCWAN_RSA_BACKEND");
-    return !(env && std::string_view(env) == std::string_view("reference"));
-  }()};
-  return flag;
-}
 
 // Computes dp/dq/qinv from a claimed factorization (p, q) of key.n and
 // installs all five CRT fields. Rejects (leaving the key untouched) unless
@@ -148,23 +136,20 @@ bool crt_consistent(const RsaPrivateKey& priv) {
 
 // The single private-key entry point: CRT when available (either carried on
 // the key from rsa_generate or recovered+cached for wire keys), full-width
-// exponent otherwise or when the backend pin forces reference.
-// Precondition: x < priv.n.
+// exponent otherwise. Precondition: x < priv.n.
 BigUint rsa_priv_exp(const RsaPrivateKey& priv, const BigUint& x) {
-  if (crt_enabled_flag().load(std::memory_order_relaxed)) {
-    if (priv.has_crt()) {
-      if (crt_consistent(priv))
-        return crt_exp_checked(priv, x, priv.p, priv.q, priv.dp, priv.dq,
-                               priv.qinv);
-      // Sabotaged/stale CRT material: count it and use the full-width
-      // exponent, which needs only (n, d).
-      g_crt_faults.fetch_add(1, std::memory_order_relaxed);
-    } else if (const CrtParams* crt = cached_crt(priv)) {
-      // Recovery output was validated by fill_crt_fields against this very
-      // (n, d); no recheck needed.
-      return crt_exp_checked(priv, x, crt->p, crt->q, crt->dp, crt->dq,
-                             crt->qinv);
-    }
+  if (priv.has_crt()) {
+    if (crt_consistent(priv))
+      return crt_exp_checked(priv, x, priv.p, priv.q, priv.dp, priv.dq,
+                             priv.qinv);
+    // Sabotaged/stale CRT material: count it and use the full-width
+    // exponent, which needs only (n, d).
+    g_crt_faults.fetch_add(1, std::memory_order_relaxed);
+  } else if (const CrtParams* crt = cached_crt(priv)) {
+    // Recovery output was validated by fill_crt_fields against this very
+    // (n, d); no recheck needed.
+    return crt_exp_checked(priv, x, crt->p, crt->q, crt->dp, crt->dq,
+                           crt->qinv);
   }
   return pow_mod(MontgomeryCtx::cached(priv.n), x, priv.d, priv.n);
 }
@@ -376,14 +361,6 @@ bool rsa_crt_recover(RsaPrivateKey& key) {
     }
   }
   return false;
-}
-
-bool rsa_crt_enabled() noexcept {
-  return crt_enabled_flag().load(std::memory_order_relaxed);
-}
-
-void set_rsa_crt_enabled(bool enabled) noexcept {
-  crt_enabled_flag().store(enabled, std::memory_order_relaxed);
 }
 
 std::uint64_t rsa_crt_fault_count() noexcept {

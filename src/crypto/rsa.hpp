@@ -108,13 +108,6 @@ bool rsa_pair_matches(const RsaPublicKey& pub, const RsaPrivateKey& priv);
 /// decrypt keys), which carry only n‖e‖d on the wire.
 bool rsa_crt_recover(RsaPrivateKey& key);
 
-/// RSA-CRT kill switch (default on; BCWAN_RSA_BACKEND=reference pins it
-/// off for a whole run, mirroring BCWAN_SHA256_BACKEND). While off, every
-/// private-key operation uses the full-width exponent — the reference path
-/// differential tests and CI's forced-reference pass run against.
-bool rsa_crt_enabled() noexcept;
-void set_rsa_crt_enabled(bool enabled) noexcept;
-
 /// Count of CRT results that failed the public-exponent re-check and fell
 /// back to the full-width exponent (a miscomputation can therefore never
 /// escape into a signature, plaintext or pairing verdict). Process-wide,

@@ -21,14 +21,13 @@
 //   * ec_shamir interleaves u1*G + u2*Q on one doubling chain (Shamir's
 //     trick) with mixed additions, Jacobian throughout, one final inversion.
 //
-// Everything here is differentially tested against Secp256k1::mul (the
-// untouched reference oracle) including the edge scalars 0, 1, n-1, n and
-// point-at-infinity inputs; BCWAN_ECDSA_BACKEND=reference forces the whole
-// suite back onto the oracle.
+// This is the only production path: every key derivation, nonce point and
+// verification runs here. Everything is differentially tested against
+// Secp256k1::mul/add (the untouched reference oracle, which no production
+// call reaches) including the edge scalars 0, 1, n-1, n and
+// point-at-infinity inputs.
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -592,35 +591,7 @@ void jp_neg(const JPoint& a, JPoint& out) {
 
 // --- Public entry points ---------------------------------------------------
 
-EcPoint ec_mul_wnaf(const BigUint& k, const EcPoint& point) {
-  if (point.infinity) return {BigUint{}, BigUint{}, true};
-  const BigUint kr = k % ctx().order;
-  if (kr.is_zero()) return {BigUint{}, BigUint{}, true};
-
-  std::int8_t digits[kMaxDigits];
-  const std::size_t len = wnaf(kr, kPtWindow, digits);
-  JPoint tab[kPtTable];
-  build_pt_table(to_jpoint(point), tab);
-
-  JPoint acc, tmp;
-  for (std::size_t i = len; i-- > 0;) {
-    jp_double(acc, tmp);
-    acc = tmp;
-    const std::int8_t d = digits[i];
-    if (d > 0) {
-      jp_add(acc, tab[(d - 1) / 2], tmp);
-      acc = tmp;
-    } else if (d < 0) {
-      JPoint neg;
-      jp_neg(tab[(-d - 1) / 2], neg);
-      jp_add(acc, neg, tmp);
-      acc = tmp;
-    }
-  }
-  return from_jpoint(acc);
-}
-
-EcPoint ec_mul_gen_wnaf(const BigUint& k) {
+EcPoint ec_mul_gen(const BigUint& k) {
   const FastCtx& c = ctx();
   const BigUint kr = k % c.order;
   if (kr.is_zero()) return {BigUint{}, BigUint{}, true};
@@ -692,80 +663,11 @@ EcPoint ec_shamir(const BigUint& u1, const BigUint& u2, const EcPoint& q) {
   return from_jpoint(acc);
 }
 
-// --- Backend pin -----------------------------------------------------------
-
-namespace {
-
-// The process default: the BCWAN_ECDSA_BACKEND pin when set to a valid
-// name (CI's forced-reference pass), the Shamir fast path otherwise.
-// select_backend("auto") restores this, so a test that pins a specific
-// backend and then resets cannot silently override an environment pin for
-// the rest of the suite.
-EcdsaBackend default_backend() {
-  static const EcdsaBackend def = [] {
-    if (const char* env = std::getenv("BCWAN_ECDSA_BACKEND")) {
-      const std::string_view name(env);
-      if (name == "reference") return EcdsaBackend::kReference;
-      if (name == "wnaf") return EcdsaBackend::kWnaf;
-      if (name == "shamir") return EcdsaBackend::kShamir;
-    }
-    return EcdsaBackend::kShamir;
-  }();
-  return def;
-}
-
-std::atomic<EcdsaBackend>& backend_slot() {
-  static std::atomic<EcdsaBackend> slot{default_backend()};
-  return slot;
-}
-
-}  // namespace
-
-EcdsaBackend ecdsa_backend() noexcept {
-  return backend_slot().load(std::memory_order_relaxed);
-}
-
-bool ecdsa_select_backend(std::string_view name) noexcept {
-  EcdsaBackend b;
-  if (name == "reference") {
-    b = EcdsaBackend::kReference;
-  } else if (name == "wnaf") {
-    b = EcdsaBackend::kWnaf;
-  } else if (name == "shamir") {
-    b = EcdsaBackend::kShamir;
-  } else if (name == "auto") {
-    b = default_backend();
-  } else {
-    return false;
-  }
-  backend_slot().store(b, std::memory_order_relaxed);
-  return true;
-}
-
-const char* ecdsa_backend_name() noexcept {
-  switch (ecdsa_backend()) {
-    case EcdsaBackend::kReference:
-      return "reference";
-    case EcdsaBackend::kWnaf:
-      return "wnaf";
-    case EcdsaBackend::kShamir:
-      return "shamir";
-  }
-  return "unknown";
-}
-
-EcPoint ec_mul_gen(const BigUint& k) {
-  if (ecdsa_backend() == EcdsaBackend::kReference)
-    return Secp256k1::mul(k, Secp256k1::g());
-  return ec_mul_gen_wnaf(k);
-}
-
 void ecdsa_warmup() {
-  if (ecdsa_backend() != EcdsaBackend::kReference)
-    (void)ctx();  // force the one-time generator tables
-  // Prime this thread's Montgomery MRU for the scalar-field (and, on the
-  // reference backend, field-prime) moduli so the batch's first signature
-  // skips context construction.
+  (void)ctx();  // force the one-time generator tables
+  // Prime this thread's Montgomery MRU for the scalar-field modulus (nonce
+  // inversion, u1/u2) and the field prime (on-curve checks) so the batch's
+  // first signature skips context construction.
   (void)bignum::MontgomeryCtx::cached(Secp256k1::n());
   (void)bignum::MontgomeryCtx::cached(Secp256k1::p());
 }

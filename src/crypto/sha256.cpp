@@ -1,7 +1,6 @@
 #include "crypto/sha256.hpp"
 
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 
 #include "crypto/sha256_impl.hpp"
@@ -79,18 +78,9 @@ Backend select_by_name(std::string_view name, bool& ok) noexcept {
   return kScalarBackend;
 }
 
-/// Process-wide dispatch, initialized once on first use; the
-/// BCWAN_SHA256_BACKEND environment variable pins a backend for the whole
-/// run (unknown/unsupported values fall back to auto-detection).
+/// Process-wide dispatch, detected once on first use.
 Backend& active_backend() noexcept {
-  static Backend backend = [] {
-    if (const char* env = std::getenv("BCWAN_SHA256_BACKEND")) {
-      bool ok = false;
-      const Backend forced = select_by_name(env, ok);
-      if (ok) return forced;
-    }
-    return detect_backend();
-  }();
+  static Backend backend = detect_backend();
   return backend;
 }
 

@@ -6,14 +6,12 @@
 // compressor is selected once at startup from what the CPU offers — a SHA-NI
 // single-stream compressor and an AVX2 8-way batched sha256d64 sit next to
 // the portable scalar reference — and every backend is bit-identical
-// (differential-tested in tests/hashing_test.cpp). Set
-// BCWAN_SHA256_BACKEND=scalar|shani|avx2 to pin a backend (CI runs the whole
-// suite once per dispatch path), or call sha256_select_backend from tests.
+// (differential-tested in tests/hashing_test.cpp through the seam in
+// sha256_impl.hpp).
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 
 #include "util/bytes.hpp"
 
@@ -52,15 +50,6 @@ Digest256 sha256d(util::ByteView data) noexcept;
 /// out[32*i..] = SHA256d(in[64*i..64*i+63]). This is the merkle inner-node
 /// shape; the AVX2 backend runs eight inputs per pass.
 void sha256d64(std::uint8_t* out, const std::uint8_t* in, std::size_t n);
-
-/// Active backend name: "scalar", "shani" or "avx2".
-const char* sha256_backend_name() noexcept;
-
-/// Force a backend ("scalar", "shani", "avx2", or "auto" to re-detect).
-/// Returns false (and leaves the dispatch unchanged) if the name is unknown
-/// or the CPU lacks the feature. Not safe against concurrent hashing — call
-/// at startup or from single-threaded tests/bench setup.
-bool sha256_select_backend(std::string_view name) noexcept;
 
 /// Digest as an owning byte buffer (for serialization call sites).
 util::Bytes digest_bytes(const Digest256& d);

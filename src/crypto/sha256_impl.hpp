@@ -1,4 +1,6 @@
-// Internal SHA-256 backend surface (crypto module only).
+// Internal SHA-256 backend surface: the crypto module's compressors, plus
+// the seam tests and benches use to reach compressors this CPU would not
+// dispatch to.
 //
 // Each backend supplies the one-block-at-a-time streaming compressor and,
 // optionally, a specialized sha256d64 (double-SHA-256 of independent 64-byte
@@ -10,6 +12,22 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string_view>
+
+namespace bcwan::crypto {
+
+/// Dispatched compressor name: "scalar", "shani" or "avx2".
+const char* sha256_backend_name() noexcept;
+
+/// Force a compressor ("scalar", "shani", "avx2", or "auto" to re-detect)
+/// so differential tests and the hashing bench can cover every compressor
+/// the CPU supports. Returns false (and leaves the dispatch unchanged) if
+/// the name is unknown or the CPU lacks the feature. Not safe against
+/// concurrent hashing. Production never calls it: detection picks
+/// shani > avx2 > scalar once per process.
+bool sha256_select_backend(std::string_view name) noexcept;
+
+}  // namespace bcwan::crypto
 
 namespace bcwan::crypto::detail {
 

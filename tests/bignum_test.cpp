@@ -497,16 +497,6 @@ TEST(Montgomery, DispatchAgreesWithBasicOnOddModuli) {
   }
 }
 
-TEST(Montgomery, KillSwitchDisablesCachedContexts) {
-  Rng rng(107);
-  const BigUint m = random_odd_modulus(rng, 256);
-  ASSERT_NE(MontgomeryCtx::cached(m), nullptr);
-  set_montgomery_enabled(false);
-  EXPECT_EQ(MontgomeryCtx::cached(m), nullptr);
-  set_montgomery_enabled(true);
-  EXPECT_NE(MontgomeryCtx::cached(m), nullptr);
-}
-
 // --- CRT exponentiation vs the full-width reference ---
 
 TEST(ModExpCrt, DifferentialAcrossRsaWidths) {

@@ -1050,37 +1050,103 @@ TEST(Validation, SerialAndParallelAgreeOnBadScript) {
   EXPECT_EQ(serial.tx_failure.fee, parallel.tx_failure.fee);
 }
 
-TEST(Validation, ColdConnectAgreesAcrossEcdsaBackends) {
-  // A checkqueue-driven cold connect (caches flushed, 4 threads) under each
-  // ECDSA backend: the wNAF/Shamir fast paths must accept exactly what the
-  // reference ladder accepts and leave identical UTXO state. Under TSan
-  // this also exercises the one-time precomputation-table init and the
-  // per-worker ecdsa_warmup calls racing across pool threads.
+/// A P2PKH input's (pubkey, sighash digest, signature), decoded from its
+/// scriptSig; nullopt if the scriptSig is not <sig> <pubkey>.
+struct InputSig {
+  crypto::EcPoint pub;
+  crypto::Digest256 digest;
+  crypto::EcdsaSignature sig;
+};
+
+std::optional<InputSig> input_signature(const Transaction& tx, std::size_t i,
+                                        const script::Script& spent) {
+  const auto ops = tx.vin[i].script_sig.decode();
+  if (!ops || ops->size() != 2) return std::nullopt;
+  const auto sig = crypto::EcdsaSignature::deserialize((*ops)[0].push);
+  const auto pub = crypto::ec_pubkey_decode((*ops)[1].push);
+  if (!sig || !pub) return std::nullopt;
+  return InputSig{*pub, PrecomputedTxData(tx).sighash(i, spent), *sig};
+}
+
+/// Every input signature of `block`, spending from `utxo` or from outputs
+/// created earlier in the block.
+std::vector<InputSig> block_input_signatures(const Block& block,
+                                             UtxoSet utxo) {
+  std::vector<InputSig> out;
+  for (std::size_t t = 1; t < block.txs.size(); ++t) {
+    const Transaction& tx = block.txs[t];
+    for (std::size_t i = 0; i < tx.vin.size(); ++i) {
+      const auto coin = utxo.get(tx.vin[i].prevout);
+      if (!coin) continue;
+      if (auto sig = input_signature(tx, i, coin->out.script_pubkey))
+        out.push_back(std::move(*sig));
+    }
+    for (std::uint32_t o = 0; o < tx.vout.size(); ++o)
+      utxo.add(OutPoint{tx.txid(), o}, Coin{tx.vout[o], 0, false});
+  }
+  return out;
+}
+
+TEST(Validation, ColdConnectMatchesOracleAndSerialVerdicts) {
+  // A checkqueue-driven cold connect (caches flushed, 4 threads) must
+  // accept the block, every input signature must also verify under the
+  // reference-ladder oracle, and a one-bit corruption must be rejected
+  // exactly as the serial connect rejects it. Under TSan this also races
+  // the one-time precomputation-table init and the per-worker
+  // ecdsa_warmup calls across pool threads.
   Harness h;
   const Block block = assemble_payment_block(h, 5);
+  ASSERT_GT(block.txs.size(), 3u);
   const int height = h.chain.height() + 1;
-
-  std::optional<std::size_t> utxo_size;
-  std::optional<Amount> utxo_value;
-  for (const char* backend : {"reference", "wnaf", "shamir"}) {
-    ASSERT_TRUE(crypto::ecdsa_select_backend(backend)) << backend;
+  ChainParams serial = h.params;
+  serial.script_check_threads = 0;
+  ChainParams parallel = h.params;
+  parallel.script_check_threads = 4;
+  auto cold_connect = [&](const Block& b, const ChainParams& p) {
     UtxoSet utxo = h.chain.utxo();
-    ChainParams params = h.params;
-    params.script_check_threads = 4;
     sig_cache().clear();
     script_exec_cache().clear();
     BlockUndo undo;
-    const auto result = connect_block(block, utxo, height, params, undo);
-    EXPECT_TRUE(result.ok()) << backend << ": " << block_error_name(result.error);
-    if (!utxo_size) {
-      utxo_size = utxo.size();
-      utxo_value = utxo.total_value();
-    } else {
-      EXPECT_EQ(utxo.size(), *utxo_size) << backend;
-      EXPECT_EQ(utxo.total_value(), *utxo_value) << backend;
-    }
-  }
-  ASSERT_TRUE(crypto::ecdsa_select_backend("auto"));
+    return connect_block(b, utxo, height, p, undo);
+  };
+
+  const auto result = cold_connect(block, parallel);
+  EXPECT_TRUE(result.ok()) << block_error_name(result.error);
+  std::size_t inputs = 0;
+  for (std::size_t t = 1; t < block.txs.size(); ++t)
+    inputs += block.txs[t].vin.size();
+  const std::vector<InputSig> sigs =
+      block_input_signatures(block, h.chain.utxo());
+  EXPECT_EQ(sigs.size(), inputs);
+  for (const InputSig& s : sigs)
+    EXPECT_TRUE(crypto::ecdsa_verify_digest_oracle(s.pub, s.digest, s.sig));
+
+  // Flip one bit of a mid-block signature's r.
+  Block bad = block;
+  Transaction& victim = bad.txs[2];
+  const auto spent = h.chain.utxo().get(victim.vin[0].prevout);
+  ASSERT_TRUE(spent.has_value());
+  Bytes corrupted = victim.vin[0].script_sig.bytes();
+  corrupted[10] ^= 0x01;
+  victim.vin[0].script_sig = script::Script(std::move(corrupted));
+  victim.invalidate_txid();
+  bad.header.merkle_root = compute_merkle_root(bad.txs);
+  solve_pow(bad.header);
+  const auto bad_sig = input_signature(victim, 0, spent->out.script_pubkey);
+  ASSERT_TRUE(bad_sig.has_value());
+  EXPECT_FALSE(crypto::ecdsa_verify_digest_oracle(bad_sig->pub,
+                                                  bad_sig->digest,
+                                                  bad_sig->sig));
+
+  const auto serial_bad = cold_connect(bad, serial);
+  const auto parallel_bad = cold_connect(bad, parallel);
+  ASSERT_FALSE(serial_bad.ok());
+  EXPECT_EQ(serial_bad.failed_tx_index, 2u);
+  EXPECT_EQ(parallel_bad.error, serial_bad.error);
+  EXPECT_EQ(parallel_bad.failed_tx_index, serial_bad.failed_tx_index);
+  EXPECT_EQ(parallel_bad.tx_failure.error, serial_bad.tx_failure.error);
+  EXPECT_EQ(parallel_bad.tx_failure.script_error,
+            serial_bad.tx_failure.script_error);
 }
 
 TEST(Validation, UndoHandlesIntraBlockSpendChains) {

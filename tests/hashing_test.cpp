@@ -13,6 +13,7 @@
 #include "chain/transaction.hpp"
 #include "chain/wallet.hpp"
 #include "crypto/sha256.hpp"
+#include "crypto/sha256_impl.hpp"
 #include "util/rng.hpp"
 
 namespace bcwan::chain {
