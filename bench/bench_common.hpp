@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/stats.hpp"
@@ -129,6 +130,29 @@ inline unsigned long long peak_rss_bytes() {
   }
   std::fclose(f);
   return kb * 1024;
+}
+
+/// The host a result was measured on: cores, the SHA-256 ISA extensions
+/// the hashing kernels dispatch on, and the compiler. Host-speed numbers
+/// are only comparable between runs with equal host objects.
+inline void write_host(JsonWriter& w) {
+  w.begin_object("host");
+  w.uint("cores", std::thread::hardware_concurrency());
+#if defined(__x86_64__) || defined(__i386__)
+  w.boolean("sha_ni", __builtin_cpu_supports("sha"));
+  w.boolean("avx2", __builtin_cpu_supports("avx2"));
+#endif
+#if defined(__clang__)
+  w.str("compiler", "clang " __clang_version__);
+#else
+  w.str("compiler", "gcc " __VERSION__);
+#endif
+#ifdef NDEBUG
+  w.boolean("assertions", false);
+#else
+  w.boolean("assertions", true);
+#endif
+  w.end_object();
 }
 
 inline void print_header(const char* experiment_id, const char* title) {

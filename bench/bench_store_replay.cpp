@@ -99,11 +99,15 @@ int main() {
   std::printf("pre-mining %d blocks...\n", kBlocks);
   BlockFactory factory;
   std::vector<chain::Block> blocks;
-  std::vector<chain::BlockUndo> undos;
+  std::vector<util::Bytes> bodies;  // serialized, as the chain stores them
+  std::vector<util::Bytes> undos;   // write_undo encodings, likewise
   blocks.reserve(static_cast<std::size_t>(kBlocks));
   for (int i = 0; i < kBlocks; ++i) {
     blocks.push_back(factory.next());
-    undos.push_back(*factory.chain.undo_for(blocks.back().hash()));
+    bodies.push_back(blocks.back().serialize());
+    util::Writer undo_w;
+    chain::write_undo(undo_w, *factory.chain.undo_for(blocks.back().hash()));
+    undos.push_back(undo_w.take());
   }
 
   // --- 1. Append throughput, fsync on/off ---
@@ -121,6 +125,7 @@ int main() {
       const auto t0 = Clock::now();
       for (int i = 0; i < kBlocks; ++i)
         st->append_block(blocks[static_cast<std::size_t>(i)],
+                         bodies[static_cast<std::size_t>(i)],
                          &undos[static_cast<std::size_t>(i)]);
       per_rep.add(ms_since(t0));
       log_bytes = st->log_bytes();
@@ -165,6 +170,7 @@ int main() {
     auto st = store::ChainStore::open(factory.params, options);
     for (int i = 0; i < kBlocks; ++i)
       st->append_block(blocks[static_cast<std::size_t>(i)],
+                       bodies[static_cast<std::size_t>(i)],
                        &undos[static_cast<std::size_t>(i)]);
     st->sync();
   }
@@ -230,8 +236,9 @@ int main() {
     auto st = store::ChainStore::open(factory.params, options);
     chain::Blockchain chain = st->take_chain();
     chain.set_block_sink(
-        [&st](const chain::Block& b, const chain::BlockUndo* u) {
-          st->append_block(b, u);
+        [&st](const chain::Block& b, util::ByteView body,
+              const util::Bytes* u) {
+          st->append_block(b, body, u);
         });
     for (int i = 0; i < premine; ++i)
       chain.accept_block(blocks[static_cast<std::size_t>(i)]);

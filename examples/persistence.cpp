@@ -174,8 +174,9 @@ int usage() {
   }
   chain::Blockchain chain = store->take_chain();
   chain.set_block_sink(
-      [&store](const chain::Block& b, const chain::BlockUndo* u) {
-        store->append_block(b, u);
+      [&store](const chain::Block& b, util::ByteView body,
+               const util::Bytes* u) {
+        store->append_block(b, body, u);
       });
   mine_to(chain, store.get(), target, /*throttle_ms=*/1);
   _exit(0);
@@ -306,9 +307,9 @@ int main(int argc, char** argv) {
   if (cmd == "run" && (argc == 4 || argc == 5)) {
     auto store = open_or_die(options_from_env(argv[2]));
     chain::Blockchain chain = store->take_chain();
-    chain.set_block_sink([&store](const chain::Block& b,
-                                  const chain::BlockUndo* u) {
-      store->append_block(b, u);
+    chain.set_block_sink([&store](const chain::Block& b, util::ByteView body,
+                                  const util::Bytes* u) {
+      store->append_block(b, body, u);
     });
     mine_to(chain, store.get(), std::atoi(argv[3]),
             argc == 5 ? std::atoi(argv[4]) : 0);

@@ -158,18 +158,12 @@ void Directory::rescan(int depth) {
   // unwind through heights that carried no announcements.
   for (int h = std::max(0, tip - options_.undo_depth + 1); h <= tip; ++h)
     undo_[h];
-  // Oldest-first so newer announcements overwrite older ones: scan_recent
-  // walks newest-first, so collect then replay in reverse. The callback
-  // refs point into the chain's block storage, which is stable for the
-  // duration of the scan — collecting pointers avoids copying every
-  // scanned transaction (the old full-copy collection dominated startup
-  // on deep scans).
-  std::vector<std::pair<const chain::Transaction*, int>> found;
-  node_.chain().scan_recent(depth, [&](const chain::Transaction& tx, int h) {
-    found.emplace_back(&tx, h);
-  });
-  for (auto it = found.rbegin(); it != found.rend(); ++it)
-    apply_confirmed(*it->first, it->second);
+  // Oldest-first so newer announcements overwrite older ones; each block
+  // is decoded from the chain's stored bytes once, for this visit.
+  for (int h = std::max(0, tip - depth + 1); h <= tip; ++h) {
+    const auto block = node_.chain().block_at(h);
+    for (const chain::Transaction& tx : block->txs) apply_confirmed(tx, h);
+  }
   indexed_tip_ = tip;
   node_.mempool().for_each(
       [this](const chain::Transaction& tx) { ingest_mempool(tx); });

@@ -392,13 +392,60 @@ std::optional<BigUint> BigUint::mod_inv(const BigUint& a, const BigUint& m) {
   return inv;
 }
 
-BigUint BigUint::gcd(BigUint a, BigUint b) {
-  while (!b.is_zero()) {
-    BigUint r = a % b;
-    a = std::move(b);
-    b = std::move(r);
+namespace {
+
+std::size_t trailing_zero_bits(const std::vector<std::uint32_t>& l) {
+  std::size_t i = 0;
+  while (l[i] == 0) ++i;
+  return i * 32 + static_cast<std::size_t>(std::countr_zero(l[i]));
+}
+
+/// l >>= bits, in place; the caller trims.
+void shr_in_place(std::vector<std::uint32_t>& l, std::size_t bits) {
+  const std::size_t words = bits / 32;
+  const unsigned rem = bits % 32;
+  l.erase(l.begin(), l.begin() + static_cast<std::ptrdiff_t>(words));
+  if (rem == 0) return;
+  for (std::size_t i = 0; i + 1 < l.size(); ++i)
+    l[i] = (l[i] >> rem) | (l[i + 1] << (32 - rem));
+  l.back() >>= rem;
+}
+
+/// a -= b, in place, for a >= b; the caller trims.
+void sub_in_place(std::vector<std::uint32_t>& a,
+                  const std::vector<std::uint32_t>& b) {
+  std::uint32_t borrow = 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::uint64_t sub =
+        static_cast<std::uint64_t>(i < b.size() ? b[i] : 0) + borrow;
+    borrow = a[i] < sub ? 1 : 0;
+    a[i] = static_cast<std::uint32_t>(a[i] - sub);
   }
-  return a;
+}
+
+}  // namespace
+
+BigUint BigUint::gcd(BigUint a, BigUint b) {
+  // Stein's binary GCD on the limb vectors in place: shifts and
+  // subtractions only, no Knuth division per step.
+  if (a.is_zero()) return b;
+  if (b.is_zero()) return a;
+  const std::size_t za = trailing_zero_bits(a.limbs_);
+  const std::size_t zb = trailing_zero_bits(b.limbs_);
+  shr_in_place(a.limbs_, za);
+  a.trim();
+  shr_in_place(b.limbs_, zb);
+  b.trim();
+  for (;;) {  // both odd
+    const int c = compare(a, b);
+    if (c == 0) break;
+    if (c < 0) std::swap(a, b);
+    sub_in_place(a.limbs_, b.limbs_);  // even and nonzero
+    a.trim();
+    shr_in_place(a.limbs_, trailing_zero_bits(a.limbs_));
+    a.trim();
+  }
+  return a << std::min(za, zb);
 }
 
 BigUint BigUint::random_bits(util::Rng& rng, std::size_t bits) {

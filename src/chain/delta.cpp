@@ -42,8 +42,8 @@ void write_head(util::Writer& w, std::uint64_t parent_seq,
   w.varint(new_blocks);
 }
 
-void write_new_block(util::Writer& w, const Block& block, int height) {
-  w.var_bytes(block.serialize());
+void write_new_block(util::Writer& w, util::ByteView body, int height) {
+  w.var_bytes(body);
   w.u32(static_cast<std::uint32_t>(height));
 }
 
@@ -52,11 +52,9 @@ void write_edit_head(util::Writer& w, std::uint32_t pop, std::size_t pushes) {
   w.varint(pushes);
 }
 
-void write_push(util::Writer& w, const Hash256& hash, const BlockUndo& undo) {
+void write_push(util::Writer& w, const Hash256& hash, util::ByteView undo) {
   write_hash(w, hash);
-  util::Writer undo_w;
-  write_undo(undo_w, undo);
-  w.var_bytes(undo_w.data());
+  w.var_bytes(undo);
 }
 
 void write_tail(util::Writer& w, const std::vector<OutPoint>& spent,
@@ -82,10 +80,13 @@ util::Bytes encode_state_delta(const StateDelta& d) {
   util::Writer w;
   delta_wire::write_head(w, d.parent_seq, d.next_seq, d.new_blocks.size());
   for (const StateDelta::NewBlock& nb : d.new_blocks)
-    delta_wire::write_new_block(w, nb.block, nb.height);
+    delta_wire::write_new_block(w, nb.block.serialize(), nb.height);
   delta_wire::write_edit_head(w, d.pop, d.push.size());
-  for (const StateDelta::PushedBlock& p : d.push)
-    delta_wire::write_push(w, p.hash, p.undo);
+  for (const StateDelta::PushedBlock& p : d.push) {
+    util::Writer undo_w;
+    write_undo(undo_w, p.undo);
+    delta_wire::write_push(w, p.hash, undo_w.data());
+  }
   delta_wire::write_tail(w, d.spent, d.added, d.tip_height, d.tip_hash);
   return w.take();
 }

@@ -64,9 +64,10 @@ util::Bytes encode_state_delta(const StateDelta& delta);
 namespace delta_wire {
 void write_head(util::Writer& w, std::uint64_t parent_seq,
                 std::uint64_t next_seq, std::size_t new_blocks);
-void write_new_block(util::Writer& w, const Block& block, int height);
+void write_new_block(util::Writer& w, util::ByteView body, int height);
 void write_edit_head(util::Writer& w, std::uint32_t pop, std::size_t pushes);
-void write_push(util::Writer& w, const Hash256& hash, const BlockUndo& undo);
+/// `undo` is the write_undo() encoding.
+void write_push(util::Writer& w, const Hash256& hash, util::ByteView undo);
 void write_tail(util::Writer& w, const std::vector<OutPoint>& spent,
                 const std::vector<std::pair<OutPoint, Coin>>& added,
                 int tip_height, const Hash256& tip_hash);

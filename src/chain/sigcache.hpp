@@ -2,9 +2,11 @@
 //
 // Two process-wide caches sit on the validation hot path:
 //
-//   * the *signature* cache remembers individual ECDSA checks, keyed on
-//     H(salt ‖ sighash-digest ‖ pubkey ‖ sig) — a federation daemon verifies
-//     the same (message, sig, key) triple once per gossip hop otherwise;
+//   * the *signature* cache remembers individual ECDSA checks made while
+//     connecting blocks, keyed on H(salt ‖ sighash-digest ‖ pubkey ‖ sig),
+//     so a block that failed elsewhere or a competing branch does not
+//     verify them again (mempool admission only reads it: the
+//     script-execution cache already remembers what it admits);
 //   * the *script-execution* cache remembers whole transactions whose input
 //     scripts all verified, keyed on H(salt ‖ txid) — block connection skips
 //     script execution entirely for transactions the mempool already

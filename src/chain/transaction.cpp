@@ -250,8 +250,26 @@ crypto::Digest256 PrecomputedTxData::sighash(
   return crypto::sha256(util::ByteView(first.data(), first.size()));
 }
 
+namespace {
+
+// Bitcoin's LOW_S rule, enforced as consensus: (r, s) and (r, n - s) both
+// verify, and the sighash blanks every scriptSig, so without it any relayer
+// could flip s and mint a twin of a transaction under a different txid —
+// stranding every spend built on the original outpoint (a Listing-1 offer's
+// redeem and reclaim). The signer always emits the low form.
+bool high_s(util::ByteView sig) {
+  static const util::Bytes half_n =
+      (crypto::Secp256k1::n() >> 1).to_bytes_be(32);
+  return sig.size() == 64 &&
+         std::memcmp(sig.data() + 32, half_n.data(), half_n.size()) > 0;
+}
+
+}  // namespace
+
 bool TxSignatureChecker::check_sig(util::ByteView sig,
                                    util::ByteView pubkey) const {
+  if (high_s(sig)) return false;
+
   // The SHA-256d sighash digest — from midstates when the caller supplied a
   // PrecomputedTxData, otherwise by materializing the message once.
   const crypto::Digest256 digest =
@@ -259,11 +277,11 @@ bool TxSignatureChecker::check_sig(util::ByteView sig,
                : crypto::sha256d(signature_hash_message(
                      tx_, input_index_, script_pubkey_spent_));
 
-  // Salted signature cache (Bitcoin has carried one since 0.7): a
-  // federation daemon re-verifies the same (msg, sig, pubkey) triple once
-  // per gossip hop, and a block re-verifies what the mempool already
-  // checked. A hit also skips pubkey decode + on-curve — the cached entry
-  // was only ever written after the full check passed on identical bytes.
+  // Salted signature cache (Bitcoin has carried one since 0.7): a block
+  // whose connection failed elsewhere, or a block on a competing branch,
+  // re-checks signatures a block connection already verified. A hit also
+  // skips pubkey decode + on-curve — the cached entry was only ever
+  // written after the full check passed on identical bytes.
   const Hash256 key = sig_cache().key(
       {util::ByteView(digest.data(), digest.size()), pubkey, sig});
   if (sig_cache().contains(key)) {
@@ -298,7 +316,7 @@ bool TxSignatureChecker::check_sig(util::ByteView sig,
                  "Signature checks by outcome: sigcache hits vs cold "
                  "ECDSA verifications")
         .add(1);
-  if (valid) sig_cache().insert(key);
+  if (valid && cache_valid_) sig_cache().insert(key);
   return valid;
 }
 

@@ -196,13 +196,18 @@ class PrecomputedTxData {
 /// script::SignatureChecker bound to a (transaction, input) pair. When a
 /// PrecomputedTxData for the same transaction is supplied, sighashes come
 /// from its midstates instead of re-serializing the transaction per input.
+/// `cache_valid` = false consults the signature cache but never adds to
+/// it: mempool admission, whose passing transactions are remembered whole
+/// in the script-execution cache, which every later check reads first.
 class TxSignatureChecker : public script::SignatureChecker {
  public:
   TxSignatureChecker(const Transaction& tx, std::size_t input_index,
                      const script::Script& script_pubkey_spent,
-                     const PrecomputedTxData* precomp = nullptr)
+                     const PrecomputedTxData* precomp = nullptr,
+                     bool cache_valid = true)
       : tx_(tx), input_index_(input_index),
-        script_pubkey_spent_(script_pubkey_spent), precomp_(precomp) {}
+        script_pubkey_spent_(script_pubkey_spent), precomp_(precomp),
+        cache_valid_(cache_valid) {}
 
   bool check_sig(util::ByteView sig, util::ByteView pubkey) const override;
   std::int64_t tx_locktime() const override { return tx_.locktime; }
@@ -215,6 +220,7 @@ class TxSignatureChecker : public script::SignatureChecker {
   std::size_t input_index_;
   const script::Script& script_pubkey_spent_;
   const PrecomputedTxData* precomp_;
+  bool cache_valid_;
 };
 
 }  // namespace bcwan::chain

@@ -62,8 +62,9 @@ std::optional<Coin> UtxoSet::spend(const OutPoint& op) {
 void UtxoSet::record_baseline(const OutPoint& op) {
   if (baseline_.find(op) != baseline_.end()) return;
   const auto it = coins_.find(op);
-  baseline_.emplace(op, it == coins_.end() ? std::optional<Coin>{}
-                                           : std::optional<Coin>(it->second));
+  baseline_.emplace(op, it == coins_.end()
+                            ? std::optional<CoinTag>{}
+                            : CoinTag{it->second.height, it->second.coinbase});
 }
 
 void UtxoSet::begin_journal() {
@@ -76,7 +77,9 @@ UtxoJournal UtxoSet::take_journal() {
   for (const auto& [op, before] : baseline_) {
     const auto it = coins_.find(op);
     const bool exists = it != coins_.end();
-    const bool changed = !before || !exists || !(it->second == *before);
+    const bool changed = !before || !exists ||
+                         it->second.height != before->height ||
+                         it->second.coinbase != before->coinbase;
     if (before && (!exists || changed)) out.spent.push_back(op);
     if (exists && changed) out.added.emplace_back(op, it->second);
   }

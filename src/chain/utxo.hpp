@@ -100,9 +100,16 @@ class UtxoSet : public CoinView {
   std::vector<const std::pair<const OutPoint, Coin>*> sorted() const;
 
   std::unordered_map<OutPoint, Coin, OutPointHasher> coins_;
-  // Journal window: outpoint -> coin value when the window opened
-  // (nullopt = did not exist). Only touched outpoints appear.
-  std::unordered_map<OutPoint, std::optional<Coin>, OutPointHasher> baseline_;
+  // Journal window: outpoint -> (height, coinbase) of its coin when the
+  // window opened (nullopt = did not exist). Only touched outpoints
+  // appear. The txid commits to the outputs, so a coin at a given outpoint
+  // can differ only in those two fields; no script copies are kept.
+  struct CoinTag {
+    int height;
+    bool coinbase;
+  };
+  std::unordered_map<OutPoint, std::optional<CoinTag>, OutPointHasher>
+      baseline_;
   bool journaling_ = false;
 };
 

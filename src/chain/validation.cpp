@@ -126,7 +126,7 @@ TxValidationResult check_tx_inputs(const Transaction& tx, const CoinView& utxo,
                                    int height, const ChainParams& params,
                                    std::vector<ScriptCheck>* deferred_checks,
                                    std::size_t tx_index,
-                                   const PrecomputedTxData* precomp) {
+                                   std::deque<PrecomputedTxData>* precomps) {
   TxValidationResult result = check_transaction(tx, params);
   if (!result.ok()) return result;
   auto fail = [&result](TxError err) {
@@ -175,6 +175,7 @@ TxValidationResult check_tx_inputs(const Transaction& tx, const CoinView& utxo,
   if (script_exec_cache().contains(exec_key)) return result;
 
   if (deferred_checks) {
+    const PrecomputedTxData* precomp = &precomps->emplace_back(tx);
     for (std::uint32_t i = 0; i < tx.vin.size(); ++i) {
       deferred_checks->push_back(ScriptCheck{
           &tx, static_cast<std::uint32_t>(tx_index), i,
@@ -183,17 +184,17 @@ TxValidationResult check_tx_inputs(const Transaction& tx, const CoinView& utxo,
     return result;
   }
 
-  // Inline path (mempool admission): build the sighash midstates here when
-  // the caller didn't, so multi-input transactions avoid the quadratic
-  // re-serialization even outside block connection.
+  // Inline path (mempool admission): multi-input transactions take the
+  // midstates too, avoiding the quadratic re-serialization.
   std::optional<PrecomputedTxData> local_precomp;
-  if (!precomp && tx.vin.size() > 1) {
+  const PrecomputedTxData* precomp = nullptr;
+  if (tx.vin.size() > 1) {
     local_precomp.emplace(tx);
     precomp = &*local_precomp;
   }
   for (std::size_t i = 0; i < tx.vin.size(); ++i) {
     const TxSignatureChecker checker(tx, i, coins[i].out.script_pubkey,
-                                     precomp);
+                                     precomp, /*cache_valid=*/false);
     const auto exec = script::verify_spend(tx.vin[i].script_sig,
                                            coins[i].out.script_pubkey, checker);
     if (!exec.ok()) {
@@ -291,15 +292,15 @@ BlockValidationResult connect_block(const Block& block, UtxoSet& utxo,
   std::vector<Hash256> exec_keys(block.txs.size());
   std::size_t contextual_fail_index = block.txs.size();
 
-  // Sighash midstates, one per transaction, shared by all of its deferred
-  // checks. A deque keeps them address-stable while the batch grows.
+  // Sighash midstates, one per transaction that queues checks, shared by
+  // all of its deferred checks. A deque keeps them address-stable while
+  // the batch grows.
   std::deque<PrecomputedTxData> precomps;
 
   for (std::size_t i = 1; i < block.txs.size(); ++i) {
     const Transaction& tx = block.txs[i];
-    precomps.emplace_back(tx);
     const TxValidationResult tx_result =
-        check_tx_inputs(tx, utxo, height, params, &checks, i, &precomps.back());
+        check_tx_inputs(tx, utxo, height, params, &checks, i, &precomps);
     if (!tx_result.ok()) {
       result.error = BlockError::kBadTransaction;
       result.tx_failure = tx_result;

@@ -3,6 +3,7 @@
 // connection with undo data.
 #pragma once
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -57,14 +58,16 @@ TxValidationResult check_transaction(const Transaction& tx,
 /// result covers only the contextual checks. Either way, a transaction the
 /// script-execution cache already knows skips script work entirely.
 ///
-/// `precomp`, when supplied, must be built from `tx`; the script checks
-/// (inline or deferred) then take the midstate sighash fast path.
-TxValidationResult check_tx_inputs(const Transaction& tx, const CoinView& utxo,
-                                   int height, const ChainParams& params,
-                                   std::vector<ScriptCheck>* deferred_checks =
-                                       nullptr,
-                                   std::size_t tx_index = 0,
-                                   const PrecomputedTxData* precomp = nullptr);
+/// Deferred checks take the midstate sighash fast path through a
+/// PrecomputedTxData built into `precomps` (address-stable, owned by the
+/// caller) — only for transactions that actually queue checks, so a block
+/// of mempool-known transactions builds none.
+TxValidationResult check_tx_inputs(
+    const Transaction& tx, const CoinView& utxo, int height,
+    const ChainParams& params,
+    std::vector<ScriptCheck>* deferred_checks = nullptr,
+    std::size_t tx_index = 0,
+    std::deque<PrecomputedTxData>* precomps = nullptr);
 
 enum class BlockError {
   kOk,

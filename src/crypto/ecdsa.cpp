@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "bignum/montgomery.hpp"
 #include "crypto/hmac.hpp"
 #include "util/serial.hpp"
 
@@ -123,6 +124,14 @@ Jacobian jac_mul(const BigUint& k, const Jacobian& point) {
   return result;
 }
 
+// a^-1 mod n for a in [1, n-1], by Fermat (n is prime): a^(n-2) as one
+// windowed exponentiation through the cached Montgomery context for n —
+// about half the cost of extended Euclid over Knuth division.
+BigUint scalar_inv(const BigUint& a) {
+  static const BigUint n_minus_2 = order_n() - BigUint(2);
+  return bignum::MontgomeryCtx::cached(order_n())->mod_exp(a, n_minus_2);
+}
+
 // Deterministic nonce: HMAC chain over (priv || digest || counter), reduced
 // mod n. Simplified from RFC 6979 but preserves its key property — the nonce
 // is a pseudorandom function of (key, message) and never repeats across
@@ -233,10 +242,8 @@ EcdsaSignature ecdsa_sign_digest(const BigUint& priv, const Digest256& digest) {
     if (rp.infinity) continue;
     const BigUint r = rp.x % n;
     if (r.is_zero()) continue;
-    const auto k_inv = BigUint::mod_inv(k, n);
-    if (!k_inv) continue;
     BigUint s = BigUint::mod_mul(
-        *k_inv, BigUint::mod_add(z, BigUint::mod_mul(r, priv, n), n), n);
+        scalar_inv(k), BigUint::mod_add(z, BigUint::mod_mul(r, priv, n), n), n);
     if (s.is_zero()) continue;
     // Low-s normalization (BIP-62) for canonical signatures.
     if (s > n >> 1) s = n - s;
@@ -268,10 +275,9 @@ std::optional<VerifyScalars> verify_scalars(const EcPoint& pub,
 
   const BigUint z =
       BigUint::from_bytes_be(util::ByteView(digest.data(), digest.size())) % n;
-  const auto s_inv = BigUint::mod_inv(sig.s, n);
-  if (!s_inv) return std::nullopt;
-  return VerifyScalars{BigUint::mod_mul(z, *s_inv, n),
-                       BigUint::mod_mul(sig.r, *s_inv, n)};
+  const BigUint s_inv = scalar_inv(sig.s);
+  return VerifyScalars{BigUint::mod_mul(z, s_inv, n),
+                       BigUint::mod_mul(sig.r, s_inv, n)};
 }
 
 bool sum_matches_r(const EcPoint& sum, const EcdsaSignature& sig) {

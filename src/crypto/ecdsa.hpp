@@ -51,8 +51,9 @@ class Secp256k1 {
 
 // --- Fast scalar multiplication (secp256k1_fast.cpp) -----------------------
 //
-// A dedicated fixed-width field core (8x32 limbs, Montgomery domain, one
-// CIOS pass per multiply, no heap) plus windowed-NAF recoding. Precomputed
+// A dedicated fixed-width field core (4x64 limbs in standard form, products
+// reduced by folding with 2^256 - p, Fermat inversion, no heap; see
+// secp256k1_field.hpp) plus windowed-NAF recoding. Precomputed
 // odd-multiple tables for the generator are built exactly once (race-free
 // magic-static init) and shared by every thread. Both functions reduce
 // their scalars mod n first, exactly like Secp256k1::mul, so they are

@@ -39,16 +39,21 @@ std::atomic<std::uint64_t> g_crt_faults{0};
 
 // Computes dp/dq/qinv from a claimed factorization (p, q) of key.n and
 // installs all five CRT fields. Rejects (leaving the key untouched) unless
-// p*q really is n and q is invertible mod p — defensive, since recovery
-// feeds this gcd outputs from attacker-supplied key material.
+// p*q really is n and qinv * q == 1 (mod p) — defensive, since recovery
+// feeds this gcd outputs from attacker-supplied key material. qinv is
+// Fermat's q^(p-2) mod p, one half-width exponentiation (about half the
+// cost of extended Euclid over Knuth division) on a one-shot context, so
+// keygen leaves the context cache alone; a composite p fails the check,
+// and the key then keeps the full-width path.
 bool fill_crt_fields(RsaPrivateKey& key, BigUint p, BigUint q) {
   if (p.is_zero() || q.is_zero() || p.is_one() || q.is_one()) return false;
-  if (!(p * q == key.n)) return false;
-  const auto qinv = BigUint::mod_inv(q % p, p);
-  if (!qinv) return false;
+  if (p.is_even() || !(p * q == key.n)) return false;
+  const BigUint q_mod_p = q % p;
+  BigUint qinv = MontgomeryCtx(p).mod_exp(q_mod_p, p - BigUint(2));
+  if (!BigUint::mod_mul(qinv, q_mod_p, p).is_one()) return false;
   key.dp = key.d % (p - BigUint(1));
   key.dq = key.d % (q - BigUint(1));
-  key.qinv = *qinv;
+  key.qinv = std::move(qinv);
   key.p = std::move(p);
   key.q = std::move(q);
   return true;

@@ -2,13 +2,14 @@
 //
 // The reference ladder in ecdsa.cpp routes every field multiply through
 // BigUint::mod_mul: a thread-local context lookup, two heap-allocated limb
-// conversions and *two* CIOS passes (to-Montgomery, then multiply) per
-// multiplication. At ~3800 field multiplies per scalar mul that is the
-// entire cold-verification budget. This TU replaces the inner loop with a
-// fixed-width field core:
+// conversions and two CIOS passes per multiplication. At ~3800 field
+// multiplies per scalar mul that is the entire cold-verification budget.
+// This TU replaces the inner loop with a fixed-width core:
 //
-//   * field elements are 8x32-bit limb arrays kept in the Montgomery domain
-//     end to end — one CIOS pass per multiply, stack scratch, no allocation;
+//   * field elements are 4x64-bit limbs in standard form
+//     (secp256k1_field.hpp): a 128-bit-product multiply reduced by two folds
+//     of the high half times 2^256 - p, stack scratch, no allocation, and
+//     Fermat inversion over a fixed addition chain;
 //   * point arithmetic mirrors the reference Jacobian formulas exactly
 //     (same dbl-2007-b / add structure, so a formula bug diverges loudly in
 //     the differential tests rather than subtly in a corner);
@@ -28,11 +29,10 @@
 // point-at-infinity inputs.
 #include <array>
 #include <cstdint>
-#include <cstring>
-#include <stdexcept>
 
 #include "bignum/montgomery.hpp"
 #include "crypto/ecdsa.hpp"
+#include "crypto/secp256k1_field.hpp"
 
 namespace bcwan::crypto {
 
@@ -40,170 +40,11 @@ using bignum::BigUint;
 
 namespace {
 
-// --- Fixed-width field arithmetic mod p, Montgomery domain -----------------
-
-constexpr std::size_t kLimbs = 8;
-
-// p = 2^256 - 2^32 - 977, little-endian 32-bit limbs.
-constexpr std::uint32_t kP[kLimbs] = {0xfffffc2f, 0xfffffffe, 0xffffffff,
-                                      0xffffffff, 0xffffffff, 0xffffffff,
-                                      0xffffffff, 0xffffffff};
-
-// -p[0]^-1 mod 2^32 (Newton iteration result, checked in ctx init).
-constexpr std::uint32_t kN0Inv = 0xd2253531;
-
-struct Fe {
-  std::uint32_t v[kLimbs];
-};
-
-bool fe_eq(const Fe& a, const Fe& b) {
-  return std::memcmp(a.v, b.v, sizeof a.v) == 0;
-}
-
-bool fe_is_zero(const Fe& a) {
-  std::uint32_t acc = 0;
-  for (std::uint32_t limb : a.v) acc |= limb;
-  return acc == 0;
-}
-
-/// out = a * b * R^-1 mod p — single CIOS pass, fixed 8 limbs, stack
-/// scratch. Same algorithm as MontgomeryCtx::mont_mul, specialized so the
-/// compiler can fully unroll against the constant modulus.
-void fe_mul(const Fe& a, const Fe& b, Fe& out) {
-  std::uint32_t t[kLimbs + 2] = {0};
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    const std::uint64_t ai = a.v[i];
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < kLimbs; ++j) {
-      const std::uint64_t cur = t[j] + ai * b.v[j] + carry;
-      t[j] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    std::uint64_t cur = t[kLimbs] + carry;
-    t[kLimbs] = static_cast<std::uint32_t>(cur);
-    t[kLimbs + 1] = static_cast<std::uint32_t>(cur >> 32);
-
-    const std::uint32_t mi = t[0] * kN0Inv;
-    cur = t[0] + static_cast<std::uint64_t>(mi) * kP[0];
-    carry = cur >> 32;
-    for (std::size_t j = 1; j < kLimbs; ++j) {
-      cur = t[j] + static_cast<std::uint64_t>(mi) * kP[j] + carry;
-      t[j - 1] = static_cast<std::uint32_t>(cur);
-      carry = cur >> 32;
-    }
-    cur = t[kLimbs] + carry;
-    t[kLimbs - 1] = static_cast<std::uint32_t>(cur);
-    t[kLimbs] = t[kLimbs + 1] + static_cast<std::uint32_t>(cur >> 32);
-  }
-
-  bool ge = t[kLimbs] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = kLimbs; i-- > 0;) {
-      if (t[i] != kP[i]) {
-        ge = t[i] > kP[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    std::int64_t borrow = 0;
-    for (std::size_t i = 0; i < kLimbs; ++i) {
-      std::int64_t diff = static_cast<std::int64_t>(t[i]) - kP[i] - borrow;
-      if (diff < 0) {
-        diff += static_cast<std::int64_t>(1) << 32;
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      out.v[i] = static_cast<std::uint32_t>(diff);
-    }
-  } else {
-    for (std::size_t i = 0; i < kLimbs; ++i) out.v[i] = t[i];
-  }
-}
-
-void fe_sqr(const Fe& a, Fe& out) { fe_mul(a, a, out); }
-
-void fe_add(const Fe& a, const Fe& b, Fe& out) {
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    carry += static_cast<std::uint64_t>(a.v[i]) + b.v[i];
-    out.v[i] = static_cast<std::uint32_t>(carry);
-    carry >>= 32;
-  }
-  bool ge = carry != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = kLimbs; i-- > 0;) {
-      if (out.v[i] != kP[i]) {
-        ge = out.v[i] > kP[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    std::int64_t borrow = 0;
-    for (std::size_t i = 0; i < kLimbs; ++i) {
-      std::int64_t diff = static_cast<std::int64_t>(out.v[i]) - kP[i] - borrow;
-      if (diff < 0) {
-        diff += static_cast<std::int64_t>(1) << 32;
-        borrow = 1;
-      } else {
-        borrow = 0;
-      }
-      out.v[i] = static_cast<std::uint32_t>(diff);
-    }
-  }
-}
-
-void fe_sub(const Fe& a, const Fe& b, Fe& out) {
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(a.v[i]) - b.v[i] - borrow;
-    if (diff < 0) {
-      diff += static_cast<std::int64_t>(1) << 32;
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    out.v[i] = static_cast<std::uint32_t>(diff);
-  }
-  if (borrow != 0) {
-    std::uint64_t carry = 0;
-    for (std::size_t i = 0; i < kLimbs; ++i) {
-      carry += static_cast<std::uint64_t>(out.v[i]) + kP[i];
-      out.v[i] = static_cast<std::uint32_t>(carry);
-      carry >>= 32;
-    }
-  }
-}
-
-void fe_dbl(const Fe& a, Fe& out) { fe_add(a, a, out); }
-
-/// Additive negation commutes with the Montgomery map, so p - a negates in
-/// the domain too. neg(0) stays 0.
-void fe_neg(const Fe& a, Fe& out) {
-  if (fe_is_zero(a)) {
-    out = a;
-    return;
-  }
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(kP[i]) - a.v[i] - borrow;
-    if (diff < 0) {
-      diff += static_cast<std::int64_t>(1) << 32;
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    out.v[i] = static_cast<std::uint32_t>(diff);
-  }
-}
+using namespace field;
 
 // --- Point types -----------------------------------------------------------
 
-const Fe& fe_one();  // R mod p (1 in the Montgomery domain), from ctx()
+constexpr Fe kOne = {{1, 0, 0, 0}};
 
 /// Jacobian projective point over Fe: x = X/Z^2, y = Y/Z^3.
 struct JPoint {
@@ -211,7 +52,7 @@ struct JPoint {
   bool infinity = true;
 };
 
-/// Affine table entry (never infinity), Montgomery domain.
+/// Affine table entry (never infinity).
 struct APoint {
   Fe x, y;
 };
@@ -304,7 +145,7 @@ void jp_add_affine(const JPoint& a, const APoint& b, JPoint& out) {
   if (a.infinity) {
     out.x = b.x;
     out.y = b.y;
-    out.z = fe_one();
+    out.z = kOne;
     out.infinity = false;
     return;
   }
@@ -350,38 +191,33 @@ constexpr std::size_t kGenTable = std::size_t{1} << (kGenWindow - 2);
 constexpr std::size_t kPtTable = std::size_t{1} << (kPtWindow - 2);
 
 struct FastCtx {
-  Fe r2;                           // R^2 mod p: the to-Montgomery factor
-  Fe one;                          // R mod p: 1 in the domain
-  APoint gen_tab[kGenTable];       // (2i+1) * G, affine, Montgomery domain
-  BigUint order;                   // n, for scalar reduction
+  APoint gen_tab[kGenTable];  // (2i+1) * G, affine
+  BigUint order;              // n, for scalar reduction
 
   FastCtx();
 };
 
-Fe fe_from_biguint_raw(const BigUint& v) {
-  // v < p; big-endian export, repack little-endian limbs.
-  const util::Bytes be = v.to_bytes_be(32);
-  Fe out;
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    const std::size_t o = 32 - 4 * (i + 1);
-    out.v[i] = static_cast<std::uint32_t>(be[o]) << 24 |
-               static_cast<std::uint32_t>(be[o + 1]) << 16 |
-               static_cast<std::uint32_t>(be[o + 2]) << 8 |
-               static_cast<std::uint32_t>(be[o + 3]);
-  }
-  return out;
+/// Coordinate below p -> limbs (values >= p are reduced first).
+Fe fe_from_biguint(const BigUint& v) {
+  const BigUint& p = Secp256k1::p();
+  const util::Bytes be = (v >= p ? v % p : v).to_bytes_be(32);
+  return fe_from_be(be.data());
 }
 
-BigUint fe_to_biguint_raw(const Fe& a) {
-  util::Bytes be(32);
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    const std::size_t o = 32 - 4 * (i + 1);
-    be[o] = static_cast<std::uint8_t>(a.v[i] >> 24);
-    be[o + 1] = static_cast<std::uint8_t>(a.v[i] >> 16);
-    be[o + 2] = static_cast<std::uint8_t>(a.v[i] >> 8);
-    be[o + 3] = static_cast<std::uint8_t>(a.v[i]);
-  }
-  return BigUint::from_bytes_be(be);
+BigUint fe_to_biguint(const Fe& a) {
+  std::uint8_t be[32];
+  fe_to_be(a, be);
+  return BigUint::from_bytes_be(util::ByteView(be, sizeof be));
+}
+
+/// Jacobian (X, Y, Z) -> affine (X/Z^2, Y/Z^3), one Fermat inversion.
+void jp_to_affine(const JPoint& j, Fe& x, Fe& y) {
+  Fe zi, zi2, zi3;
+  fe_inv(j.z, zi);
+  fe_sqr(zi, zi2);
+  fe_mul(zi2, zi, zi3);
+  fe_mul(j.x, zi2, x);
+  fe_mul(j.y, zi3, y);
 }
 
 /// Race-free shared init: C++ magic static — the first caller builds the
@@ -393,70 +229,21 @@ const FastCtx& ctx() {
   return c;
 }
 
-const Fe& fe_one() { return ctx().one; }
-
-Fe to_montgomery(const BigUint& v) {
-  Fe raw = fe_from_biguint_raw(v % Secp256k1::p());
-  Fe out;
-  fe_mul(raw, ctx().r2, out);
-  return out;
-}
-
-BigUint from_montgomery(const Fe& a) {
-  Fe one_raw = {};
-  one_raw.v[0] = 1;
-  Fe std_form;
-  fe_mul(a, one_raw, std_form);  // mont(a, 1) = a * R^-1
-  return fe_to_biguint_raw(std_form);
-}
-
-FastCtx::FastCtx() {
-  const BigUint& p = Secp256k1::p();
-  // Sanity-check the hardcoded Montgomery constant against a from-scratch
-  // computation; a typo here would corrupt every field multiply.
-  std::uint32_t inv = 0xfffffc2f;
-  for (int i = 0; i < 4; ++i) inv *= 2 - 0xfffffc2fu * inv;
-  if (~inv + 1 != kN0Inv)
-    throw std::logic_error("secp256k1_fast: n0inv constant mismatch");
-
-  r2 = fe_from_biguint_raw((BigUint(1) << 512) % p);
-  one = fe_from_biguint_raw((BigUint(1) << 256) % p);
-  order = Secp256k1::n();
-
+FastCtx::FastCtx() : order(Secp256k1::n()) {
   // Generator odd multiples 1G, 3G, ..., 63G: accumulate in Jacobian, then
   // normalize each entry to affine (one-time cost, shared forever).
   const EcPoint& g = Secp256k1::g();
   JPoint gj;
-  gj.x = [&] {
-    Fe raw = fe_from_biguint_raw(g.x), out;
-    fe_mul(raw, r2, out);
-    return out;
-  }();
-  gj.y = [&] {
-    Fe raw = fe_from_biguint_raw(g.y), out;
-    fe_mul(raw, r2, out);
-    return out;
-  }();
-  gj.z = one;
+  gj.x = fe_from_biguint(g.x);
+  gj.y = fe_from_biguint(g.y);
+  gj.z = kOne;
   gj.infinity = false;
 
   JPoint g2;
   jp_double(gj, g2);
   JPoint acc = gj;
   for (std::size_t i = 0; i < kGenTable; ++i) {
-    // Normalize acc = (2i+1)G to affine: x = X/Z^2, y = Y/Z^3.
-    const BigUint z = from_montgomery(acc.z);
-    const auto z_inv = BigUint::mod_inv(z, p);
-    if (!z_inv) throw std::logic_error("secp256k1_fast: table Z not invertible");
-    Fe zi, zi2, zi3;
-    {
-      Fe raw = fe_from_biguint_raw(*z_inv);
-      fe_mul(raw, r2, zi);
-    }
-    fe_sqr(zi, zi2);
-    fe_mul(zi2, zi, zi3);
-    fe_mul(acc.x, zi2, gen_tab[i].x);
-    fe_mul(acc.y, zi3, gen_tab[i].y);
+    jp_to_affine(acc, gen_tab[i].x, gen_tab[i].y);
     if (i + 1 < kGenTable) {
       JPoint next;
       jp_add(acc, g2, next);
@@ -547,29 +334,18 @@ std::size_t wnaf(const BigUint& k, int w, std::int8_t* out) {
 JPoint to_jpoint(const EcPoint& p) {
   JPoint out;
   if (p.infinity) return out;
-  out.x = to_montgomery(p.x);
-  out.y = to_montgomery(p.y);
-  out.z = ctx().one;
+  out.x = fe_from_biguint(p.x);
+  out.y = fe_from_biguint(p.y);
+  out.z = kOne;
   out.infinity = false;
   return out;
 }
 
 EcPoint from_jpoint(const JPoint& j) {
   if (j.infinity) return {BigUint{}, BigUint{}, true};
-  const BigUint& p = Secp256k1::p();
-  const BigUint z = from_montgomery(j.z);
-  const auto z_inv = BigUint::mod_inv(z, p);
-  if (!z_inv) throw std::logic_error("secp256k1_fast: non-invertible Z");
-  Fe zi, zi2, zi3, x, y;
-  {
-    Fe raw = fe_from_biguint_raw(*z_inv);
-    fe_mul(raw, ctx().r2, zi);
-  }
-  fe_sqr(zi, zi2);
-  fe_mul(zi2, zi, zi3);
-  fe_mul(j.x, zi2, x);
-  fe_mul(j.y, zi3, y);
-  return {from_montgomery(x), from_montgomery(y), false};
+  Fe x, y;
+  jp_to_affine(j, x, y);
+  return {fe_to_biguint(x), fe_to_biguint(y), false};
 }
 
 /// Odd multiples 1Q, 3Q, ..., (2^(w-1)-1)Q in Jacobian form (normalizing
@@ -665,9 +441,9 @@ EcPoint ec_shamir(const BigUint& u1, const BigUint& u2, const EcPoint& q) {
 
 void ecdsa_warmup() {
   (void)ctx();  // force the one-time generator tables
-  // Prime this thread's Montgomery MRU for the scalar-field modulus (nonce
-  // inversion, u1/u2) and the field prime (on-curve checks) so the batch's
-  // first signature skips context construction.
+  // Prime this thread's Montgomery MRU for the scalar-field modulus (s^-1,
+  // u1/u2) and the field prime (on-curve checks) so the batch's first
+  // signature skips context construction.
   (void)bignum::MontgomeryCtx::cached(Secp256k1::n());
   (void)bignum::MontgomeryCtx::cached(Secp256k1::p());
 }

@@ -46,10 +46,10 @@ bool ChainNode::open_store_and_recover(std::string* error) {
   store_ = std::move(opened);
   last_recovery_ = store_->recovery();
   chain_ = store_->take_chain();
-  chain_.set_block_sink(
-      [this](const Block& block, const chain::BlockUndo* undo) {
-        store_->append_block(block, undo);
-      });
+  chain_.set_block_sink([this](const Block& block, util::ByteView body,
+                               const util::Bytes* undo) {
+    store_->append_block(block, body, undo);
+  });
   return true;
 }
 
@@ -60,7 +60,6 @@ void ChainNode::crash() {
   store_.reset();
   mempool_.clear();
   orphan_txs_.clear();
-  seen_txs_.clear();
   seen_blocks_.clear();
   if (telemetry::enabled()) {
     telemetry::registry()
@@ -104,7 +103,6 @@ chain::MempoolAcceptResult ChainNode::submit_tx(const Transaction& tx) {
   }
   const auto result = mempool_.accept(tx, chain_.utxo(), chain_.height() + 1);
   if (result.ok()) {
-    seen_txs_.insert(tx.txid());
     ++txs_seen_;
     for (const auto& watcher : tx_watchers_) watcher(tx);
     relay_tx(tx);
@@ -162,8 +160,12 @@ void ChainNode::handle_message(const Message& msg) {
 }
 
 void ChainNode::accept_gossip_tx(const Transaction& tx) {
+  // Already known: pooled or confirmed on the active chain. (No separate
+  // seen-set: it would grow by a hash-table node per transaction forever.)
   const chain::Hash256 txid = tx.txid();
-  if (seen_txs_.count(txid)) return;
+  int confirmations = 0;
+  if (mempool_.contains(txid) || chain_.tx_confirmations(txid, confirmations))
+    return;
   // Charge validation CPU: everything behind this message waits.
   net_.stall(host_, config_.tx_processing);
   const auto result = mempool_.accept(tx, chain_.utxo(), chain_.height() + 1);
@@ -177,7 +179,6 @@ void ChainNode::accept_gossip_tx(const Transaction& tx) {
     }
     return;
   }
-  seen_txs_.insert(txid);
   ++txs_seen_;
   for (const auto& watcher : tx_watchers_) watcher(tx);
   relay_tx(tx);
@@ -195,7 +196,6 @@ void ChainNode::drain_orphan_txs() {
       const auto result =
           mempool_.accept(orphan, chain_.utxo(), chain_.height() + 1);
       if (result.ok()) {
-        seen_txs_.insert(orphan.txid());
         ++txs_seen_;
         for (const auto& watcher : tx_watchers_) watcher(orphan);
         relay_tx(orphan);
@@ -262,7 +262,6 @@ void ChainNode::resurrect_disconnected() {
     const auto result =
         mempool_.accept(tx, chain_.utxo(), chain_.height() + 1);
     if (!result.ok()) continue;
-    seen_txs_.insert(tx.txid());
     for (const auto& watcher : tx_watchers_) watcher(tx);
     relay_tx(tx);
   }
@@ -327,9 +326,9 @@ void ChainNode::serve_sync(HostId peer, const util::Bytes& locator) {
   const int last =
       std::min(chain_.height(), ancestor + kMaxBlocksPerResponse);
   for (int h = ancestor + 1; h <= last; ++h) {
-    const auto block = chain_.block_at(h);
-    if (!block) break;
-    net_.send(host_, peer, Message{"block", block->serialize(), host_});
+    const util::Bytes* body = chain_.block_bytes_at(h);
+    if (body == nullptr) break;
+    net_.send(host_, peer, Message{"block", *body, host_});
     ++sync_served_;
     if (telemetry::enabled()) {
       telemetry::registry()

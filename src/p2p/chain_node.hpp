@@ -206,7 +206,6 @@ class ChainNode {
   std::vector<std::function<void(const chain::Block&)>> block_watchers_;
   std::vector<std::function<void(int)>> reorg_watchers_;
   std::vector<std::function<void()>> restart_watchers_;
-  std::unordered_set<chain::Hash256, chain::Hash256Hasher> seen_txs_;
   std::unordered_set<chain::Hash256, chain::Hash256Hasher> seen_blocks_;
   // Transactions whose inputs are not yet known (gossip reordered a chain
   // of unconfirmed spends); retried after every tx/block acceptance, as

@@ -195,6 +195,37 @@ TEST(BigUint, Gcd) {
   EXPECT_EQ(BigUint::gcd(BigUint(5), BigUint(0)), BigUint(5));
 }
 
+TEST(BigUint, BinaryGcdMatchesEuclid) {
+  // Stein's GCD against the textbook remainder loop, on operands sharing
+  // powers of two, a common odd factor, equal values and multi-limb widths.
+  const auto euclid = [](BigUint a, BigUint b) {
+    while (!b.is_zero()) {
+      BigUint r = a % b;
+      a = std::move(b);
+      b = std::move(r);
+    }
+    return a;
+  };
+  Rng rng(44);
+  for (int i = 0; i < 200; ++i) {
+    const BigUint common =
+        BigUint::random_bits(rng, 1 + static_cast<std::size_t>(i % 96)) +
+        BigUint(1);
+    const std::size_t bits = 1 + static_cast<std::size_t>(rng.below(520));
+    const BigUint a = (BigUint::random_bits(rng, bits) + BigUint(1)) * common
+                      << static_cast<std::size_t>(i % 7);
+    const BigUint b = BigUint::random_bits(rng, 1 + (bits * 3) % 513) *
+                      common << static_cast<std::size_t>(i % 5);
+    ASSERT_EQ(BigUint::gcd(a, b), euclid(a, b)) << i;
+    ASSERT_EQ(BigUint::gcd(b, a), euclid(a, b)) << i;
+  }
+  const BigUint big = BigUint::random_bits(rng, 512) + BigUint(1);
+  EXPECT_EQ(BigUint::gcd(big, big), big);
+  EXPECT_EQ(BigUint::gcd(BigUint(1) << 300, BigUint(1) << 64),
+            BigUint(1) << 64);
+  EXPECT_EQ(BigUint::gcd(BigUint(0), BigUint(0)), BigUint(0));
+}
+
 TEST(BigUint, RandomBitsExactWidth) {
   Rng rng(4);
   for (std::size_t bits : {1u, 7u, 8u, 9u, 64u, 255u, 256u}) {

@@ -13,6 +13,7 @@
 #include "crypto/hmac.hpp"
 #include "crypto/ripemd160.hpp"
 #include "crypto/rsa.hpp"
+#include "crypto/secp256k1_field.hpp"
 #include "crypto/sha256.hpp"
 #include "util/rng.hpp"
 
@@ -709,6 +710,147 @@ TEST(Ecdsa, SeededIdentityIsStable) {
   EXPECT_EQ(a.priv, b.priv);
   EXPECT_FALSE(a.priv == c.priv);
   EXPECT_TRUE(Secp256k1::on_curve(a.pub));
+}
+
+TEST(Ecdsa, SignaturesPinned) {
+  // ~200 deterministic signatures (plus their public keys, which run through
+  // ec_mul_gen) hashed into one digest. Nonces are deterministic, so any
+  // change to the field core, the scalar inverses or the nonce derivation
+  // that alters a single bit of a signature or key moves this pin.
+  Sha256 acc;
+  for (int i = 0; i < 200; ++i) {
+    const std::string tag = "pinned-" + std::to_string(i);
+    const EcKeyPair kp = ec_from_seed(str_bytes(tag));
+    const Digest256 digest = sha256d(str_bytes("msg/" + tag));
+    const EcdsaSignature sig = ecdsa_sign_digest(kp.priv, digest);
+    ASSERT_TRUE(ecdsa_verify_digest(kp.pub, digest, sig)) << i;
+    acc.update(ec_pubkey_encode(kp.pub));
+    acc.update(sig.serialize());
+  }
+  EXPECT_EQ(hex256(acc.finalize()), "d24ac101ae1c34724a27712ac22bfe9452952033c356927b9f23cac3c4375d18");
+}
+
+// --- secp256k1 field core vs BigUint mod p ---
+//
+// Every 4x64 operation is checked against BigUint arithmetic mod p on
+// random operands and on the edges where a fold or the final conditional
+// subtraction changes course.
+
+namespace {
+
+field::Fe to_fe(const bignum::BigUint& v) {
+  const Bytes be = v.to_bytes_be(32);
+  return field::fe_from_be(be.data());
+}
+
+bignum::BigUint from_fe(const field::Fe& a) {
+  std::uint8_t be[32];
+  field::fe_to_be(a, be);
+  return bignum::BigUint::from_bytes_be(ByteView(be, sizeof be));
+}
+
+std::vector<bignum::BigUint> field_operands() {
+  using bignum::BigUint;
+  const BigUint& p = Secp256k1::p();
+  const BigUint two256 = BigUint(1) << 256;
+  std::vector<BigUint> v = {BigUint(0),
+                            BigUint(1),
+                            BigUint(2),
+                            p - BigUint(1),
+                            p - BigUint(2),
+                            BigUint(1) << 255,
+                            (BigUint(1) << 255) - BigUint(1),
+                            BigUint(field::kC),
+                            // Largest value below 2^256 - 2^64: the product
+                            // of two such has an all-ones high half, so the
+                            // first fold carries past 2^256.
+                            p - (BigUint(1) << 64),
+                            two256 - (BigUint(1) << 128) - BigUint(7),
+                            (two256 - BigUint(1)) % p,
+                            BigUint(0xffffffffffffffffULL)};
+  Rng rng(500);
+  for (int i = 0; i < 64; ++i)
+    v.push_back(BigUint::from_bytes_be(rng.bytes(32)) % p);
+  return v;
+}
+
+}  // namespace
+
+TEST(Secp256k1Field, EncodingRoundTrips) {
+  for (const bignum::BigUint& a : field_operands())
+    EXPECT_EQ(from_fe(to_fe(a)), a) << a.to_hex();
+}
+
+TEST(Secp256k1Field, MulSqrMatchBigUint) {
+  using bignum::BigUint;
+  const BigUint& p = Secp256k1::p();
+  const std::vector<BigUint> ops = field_operands();
+  for (const BigUint& a : ops) {
+    field::Fe sq;
+    field::fe_sqr(to_fe(a), sq);
+    EXPECT_EQ(from_fe(sq), BigUint::mod_mul_basic(a, a, p)) << a.to_hex();
+    for (const BigUint& b : ops) {
+      field::Fe prod;
+      field::fe_mul(to_fe(a), to_fe(b), prod);
+      ASSERT_EQ(from_fe(prod), BigUint::mod_mul_basic(a, b, p))
+          << a.to_hex() << " * " << b.to_hex();
+    }
+  }
+}
+
+TEST(Secp256k1Field, FoldsCarryPastTwo256) {
+  // (p-1)^2: hi * C + lo overflows 256 bits, so the second fold runs.
+  using bignum::BigUint;
+  const BigUint& p = Secp256k1::p();
+  const BigUint a = p - BigUint(1);
+  const BigUint prod = a * a;
+  const BigUint lo = prod % (BigUint(1) << 256);
+  const BigUint hi = prod >> 256;
+  ASSERT_GE(lo + hi * BigUint(field::kC), BigUint(1) << 256);
+  field::Fe out;
+  field::fe_mul(to_fe(a), to_fe(a), out);
+  EXPECT_EQ(from_fe(out), BigUint(1));  // (-1)^2
+
+  // All-ones 512 bits: the first fold leaves p - 1 with a top word of
+  // C + 1, and folding that top word back carries out of limb 3 as well.
+  const field::u64 ones[8] = {~0ULL, ~0ULL, ~0ULL, ~0ULL,
+                              ~0ULL, ~0ULL, ~0ULL, ~0ULL};
+  field::fe_reduce_wide(ones, out);
+  EXPECT_EQ(from_fe(out), ((BigUint(1) << 512) - BigUint(1)) % p);
+}
+
+TEST(Secp256k1Field, AddSubNegMatchBigUint) {
+  using bignum::BigUint;
+  const BigUint& p = Secp256k1::p();
+  const std::vector<BigUint> ops = field_operands();
+  for (const BigUint& a : ops) {
+    field::Fe neg;
+    field::fe_neg(to_fe(a), neg);
+    EXPECT_EQ(from_fe(neg), a.is_zero() ? a : p - a) << a.to_hex();
+    for (const BigUint& b : ops) {
+      field::Fe sum, diff;
+      field::fe_add(to_fe(a), to_fe(b), sum);
+      field::fe_sub(to_fe(a), to_fe(b), diff);
+      ASSERT_EQ(from_fe(sum), BigUint::mod_add(a, b, p))
+          << a.to_hex() << " + " << b.to_hex();
+      ASSERT_EQ(from_fe(diff), BigUint::mod_sub(a, b, p))
+          << a.to_hex() << " - " << b.to_hex();
+    }
+  }
+}
+
+TEST(Secp256k1Field, InverseMatchesBigUint) {
+  using bignum::BigUint;
+  const BigUint& p = Secp256k1::p();
+  for (const BigUint& a : field_operands()) {
+    field::Fe inv;
+    field::fe_inv(to_fe(a), inv);
+    if (a.is_zero()) {
+      EXPECT_TRUE(field::fe_is_zero(inv));  // 0^(p-2) = 0
+      continue;
+    }
+    EXPECT_EQ(from_fe(inv), *BigUint::mod_inv(a, p)) << a.to_hex();
+  }
 }
 
 // --- ECDSA fast paths (wNAF / Shamir) vs the reference oracle ---

@@ -11,6 +11,7 @@
 
 #include "chain/miner.hpp"
 #include "chain/wallet.hpp"
+#include "crypto/sha256.hpp"
 #include "p2p/chain_node.hpp"
 #include "p2p/event_loop.hpp"
 #include "p2p/network.hpp"
@@ -97,8 +98,9 @@ struct StoreHarness {
     store = ChainStore::open(params, opts, &error);
     ASSERT_NE(store, nullptr) << error;
     chain.emplace(store->take_chain());
-    chain->set_block_sink([this](const Block& b, const chain::BlockUndo* u) {
-      store->append_block(b, u);
+    chain->set_block_sink([this](const Block& b, util::ByteView body,
+                                 const util::Bytes* u) {
+      store->append_block(b, body, u);
     });
   }
 
@@ -843,8 +845,9 @@ TEST(ChainStore, StreamedElementsEqualBufferedEncodings) {
     h.reopen();
     std::vector<chain::Hash256> pending;
     h.chain->set_block_sink(
-        [&h, &pending](const Block& b, const chain::BlockUndo* u) {
-          h.store->append_block(b, u);
+        [&h, &pending](const Block& b, util::ByteView body,
+                       const util::Bytes* u) {
+          h.store->append_block(b, body, u);
           pending.push_back(b.hash());
         });
     chain::Hash256 anchor{};
@@ -908,6 +911,50 @@ TEST(ChainStore, StreamedElementsEqualBufferedEncodings) {
     h.reopen();
     EXPECT_EQ(h.chain->state_hash(), state);
   }
+}
+
+TEST(ChainStore, ElementAndLogEncodingsPinned) {
+  // The on-disk formats must not drift: a fixed chain with a reorg, one
+  // base, two deltas and the block log behind them hash to a recorded
+  // digest. (Blocks are stored serialized in memory; the files must stay
+  // exactly what the Block-object store wrote.)
+  StoreHarness h;
+  h.opts.compact_every = 100;
+  h.reopen();
+  h.fund();
+  h.pay(2 * chain::kCoin);
+  ASSERT_TRUE(h.store->write_snapshot(*h.chain));
+  h.pay(3 * chain::kCoin);
+  const int fork_height = h.chain->height() - 1;
+  Blockchain rival(h.params);
+  Mempool rival_pool(h.params);
+  Miner rival_miner(h.params, Wallet::from_seed("rival-pin").pkh());
+  for (int bh = 1; bh <= fork_height; ++bh) {
+    ASSERT_EQ(rival.accept_block(*h.chain->block_at(bh)),
+              AcceptBlockResult::kConnected);
+  }
+  std::uint64_t rt = 7000;
+  const Block r1 = rival_miner.mine(rival, rival_pool, ++rt);
+  ASSERT_EQ(rival.accept_block(r1), AcceptBlockResult::kConnected);
+  const Block r2 = rival_miner.mine(rival, rival_pool, ++rt);
+  ASSERT_EQ(rival.accept_block(r2), AcceptBlockResult::kConnected);
+  ASSERT_EQ(h.chain->accept_block(r1), AcceptBlockResult::kSideChain);
+  ASSERT_EQ(h.chain->accept_block(r2), AcceptBlockResult::kReorganized);
+  ASSERT_TRUE(h.store->write_delta(*h.chain));
+  h.mine_blocks(3);
+  ASSERT_TRUE(h.store->write_delta(*h.chain));
+
+  crypto::Sha256 acc;
+  acc.update(newest_snapshot_payload(h.dir.str()));
+  const auto deltas = list_delta_files(h.dir.str());
+  ASSERT_EQ(deltas.size(), 2u);
+  for (const auto& d : deltas)
+    acc.update(load_delta_file(d.path, nullptr, nullptr).value_or(Bytes{}));
+  acc.update(read_file(h.log_path()));
+  acc.update(h.chain->serialize_state());
+  const crypto::Digest256 digest = acc.finalize();
+  EXPECT_EQ(util::to_hex(util::ByteView(digest.data(), digest.size())),
+            "62f1cc3815890b5cf8cf9d27938f1438d0ede6eb8dde0aec8913e04e22c10a4f");
 }
 
 TEST(Blockchain, DrainedStateDumpMatchesBuffered) {
@@ -1015,8 +1062,8 @@ TEST(ChainStore, LegacyKind1RecordReplays) {
   Miner twin_miner(h.params, Wallet::from_seed("legacy").pkh());
   const Block b4 = twin_miner.mine(twin, twin_pool, 500);
   ASSERT_EQ(twin.accept_block(b4), AcceptBlockResult::kConnected);
-  const chain::BlockUndo* undo = twin.undo_for(b4.hash());
-  ASSERT_NE(undo, nullptr);
+  const auto undo = twin.undo_for(b4.hash());
+  ASSERT_TRUE(undo.has_value());
   h.crash();
 
   // Hand-craft the legacy kind-1 payload (no stored hash or txids: replay
@@ -1165,8 +1212,8 @@ TEST(Validation, UndoSerializationRoundTrip) {
   StoreHarness h;
   h.fund();
   h.pay(chain::kCoin);
-  const chain::BlockUndo* undo = h.chain->undo_for(h.chain->tip_hash());
-  ASSERT_NE(undo, nullptr);
+  const auto undo = h.chain->undo_for(h.chain->tip_hash());
+  ASSERT_TRUE(undo.has_value());
   ASSERT_FALSE(undo->spent.empty());
 
   util::Writer w;
