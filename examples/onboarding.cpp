@@ -64,14 +64,17 @@ int main() {
   // 4. The newcomer's directory scan resolves every recipient in the
   //    federation — it can start forwarding as a gateway immediately.
   int resolved = 0;
-  newcomer->scan_recent(1000, [&](const chain::Transaction& tx, int) {
-    for (const chain::TxOut& out : tx.vout) {
-      const auto classified = script::classify(out.script_pubkey);
-      if (classified.type != script::ScriptType::kOpReturn) continue;
-      const auto entry = core::decode_directory_entry(classified.data);
-      if (entry) ++resolved;
+  for (int h = 0; h <= newcomer->height(); ++h) {
+    const chain::Block block = *newcomer->block_at(h);
+    for (const chain::Transaction& tx : block.txs) {
+      for (const chain::TxOut& out : tx.vout) {
+        const auto classified = script::classify(out.script_pubkey);
+        if (classified.type != script::ScriptType::kOpReturn) continue;
+        const auto entry = core::decode_directory_entry(classified.data);
+        if (entry) ++resolved;
+      }
     }
-  });
+  }
   std::printf("[directory]  %d announcement(s) recovered from the snapshot:\n",
               resolved);
   for (int a = 0; a < scenario.actor_count(); ++a) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "chain/blockchain.hpp"
 #include "chain/mempool.hpp"
 #include "chain/miner.hpp"
@@ -809,18 +811,19 @@ TEST(Blockchain, ConfirmationCountsGrow) {
   EXPECT_EQ(confs, 4);
 }
 
-TEST(Blockchain, ScanRecentDepthBounded) {
+TEST(Blockchain, BlockAtCoversActiveHeightsOnly) {
   Harness h;
   h.mine_blocks(6);
-  int blocks_seen = 0;
-  int last_height = 1 << 30;
-  h.chain.scan_recent(3, [&](const Transaction&, int height) {
-    // Newest first, only coinbases here: one tx per block.
-    EXPECT_LE(height, last_height);
-    last_height = height;
-    ++blocks_seen;
-  });
-  EXPECT_EQ(blocks_seen, 3);
+  for (int height = 0; height <= h.chain.height(); ++height) {
+    const auto block = h.chain.block_at(height);
+    ASSERT_TRUE(block.has_value());
+    EXPECT_EQ(block->hash(),
+              h.chain.active_chain()[static_cast<std::size_t>(height)]);
+    EXPECT_EQ(*h.chain.block_bytes_at(height), block->serialize());
+  }
+  EXPECT_FALSE(h.chain.block_at(-1).has_value());
+  EXPECT_FALSE(h.chain.block_at(h.chain.height() + 1).has_value());
+  EXPECT_EQ(h.chain.block_bytes_at(h.chain.height() + 1), nullptr);
 }
 
 TEST(ChainSnapshot, ExportImportRoundTrip) {
@@ -860,6 +863,105 @@ TEST(ChainSnapshot, ImportRejectsGarbage) {
   const auto restored = Blockchain::import_chain(params, fresh.export_chain());
   ASSERT_TRUE(restored.has_value());
   EXPECT_EQ(restored->height(), 0);
+}
+
+TEST(Blockchain, CopiedCoinbaseKeepsRecordedUndo) {
+  // Txids are not unique by consensus: a block may carry a verbatim copy of
+  // an earlier, already-spent coinbase. The undo of the block that spent
+  // the original must stay what connect_block recorded (the coin at its
+  // original height) through the copy's connect, its reorg-out, a snapshot,
+  // a delta, and a reorg that disconnects the spender.
+  Harness h;
+  std::map<Hash256, Bytes> logged;
+  h.chain.set_block_sink(
+      [&logged](const Block& b, util::ByteView, const Bytes* undo) {
+        if (undo != nullptr) logged[b.hash()] = *undo;
+      });
+  const Mempool empty{h.params};
+  h.fund();
+  Blockchain before_spend = h.chain;
+  before_spend.set_block_sink(nullptr);
+
+  const Wallet alice = Wallet::from_seed("alice");
+  const auto pay = h.miner_wallet.create_payment(h.chain, &h.pool, alice.pkh(),
+                                                 kCoin, 1000);
+  ASSERT_TRUE(pay.has_value());
+  ASSERT_TRUE(h.pool.accept(*pay, h.chain.utxo(), h.chain.height() + 1).ok());
+  h.mine_block();
+  const Hash256 spender = h.chain.tip_hash();
+  const OutPoint spent = pay->vin[0].prevout;
+  int origin = -1;
+  Transaction original;
+  for (int height = 1; height < h.chain.height(); ++height) {
+    const auto block = h.chain.block_at(height);
+    if (block->txs[0].txid() == spent.txid) {
+      origin = height;
+      original = block->txs[0];
+    }
+  }
+  ASSERT_GT(origin, 0);
+  const Bytes recorded = logged.at(spender);
+  const auto undo_bytes = [](const Blockchain& chain, const Hash256& hash) {
+    const auto undo = chain.undo_for(hash);
+    util::Writer w;
+    if (undo) write_undo(w, *undo);
+    return w.take();
+  };
+  ASSERT_EQ(undo_bytes(h.chain, spender), recorded);
+
+  // Base element at the spender; the copy and its reorg-out form a delta.
+  const Bytes base = h.chain.serialize_state();
+  const Hash256 anchor = h.chain.tip_hash();
+  const int anchor_height = h.chain.height();
+  h.chain.utxo_journal_begin();
+  Blockchain sibling = h.chain;
+  sibling.set_block_sink(nullptr);
+
+  Block copy = h.miner.assemble(h.chain, empty, ++h.now);
+  copy.txs[0] = original;
+  copy.header.merkle_root = compute_merkle_root(copy.txs);
+  ASSERT_TRUE(solve_pow(copy.header));
+  ASSERT_EQ(h.chain.accept_block(copy), AcceptBlockResult::kConnected);
+  EXPECT_EQ(undo_bytes(h.chain, spender), recorded);
+
+  std::vector<Hash256> pending{copy.hash()};
+  for (std::uint64_t t = 100; t < 102; ++t) {
+    const Block b = h.miner.mine(sibling, empty, t);
+    ASSERT_EQ(sibling.accept_block(b), AcceptBlockResult::kConnected);
+    h.chain.accept_block(b);
+    pending.push_back(b.hash());
+  }
+  ASSERT_EQ(h.chain.tip_hash(), sibling.tip_hash());
+  EXPECT_EQ(undo_bytes(h.chain, spender), recorded);
+
+  const auto restored =
+      Blockchain::restore_state(h.params, h.chain.serialize_state());
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(undo_bytes(*restored, spender), recorded);
+
+  util::Writer delta;
+  ASSERT_TRUE(h.chain.write_state_delta(delta, 1, 2, anchor, anchor_height,
+                                        pending));
+  auto from_delta = Blockchain::restore_state(h.params, base);
+  ASSERT_TRUE(from_delta.has_value());
+  const auto decoded = decode_state_delta(delta.data());
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_TRUE(from_delta->apply_state_delta(*decoded));
+  EXPECT_EQ(from_delta->state_hash(), h.chain.state_hash());
+  EXPECT_EQ(undo_bytes(*from_delta, spender), recorded);
+
+  // A longer branch from the spender's parent disconnects the spender: the
+  // spent coin comes back at the height that created it.
+  for (std::uint64_t t = 200; t < 204; ++t) {
+    const Block b = h.miner.mine(before_spend, empty, t);
+    ASSERT_EQ(before_spend.accept_block(b), AcceptBlockResult::kConnected);
+    h.chain.accept_block(b);
+  }
+  ASSERT_EQ(h.chain.tip_hash(), before_spend.tip_hash());
+  const auto coin = h.chain.utxo().get(spent);
+  ASSERT_TRUE(coin.has_value());
+  EXPECT_EQ(coin->height, origin);
+  EXPECT_EQ(h.chain.state_hash(), before_spend.state_hash());
 }
 
 TEST(ChainSupply, UtxoValueNeverExceedsIssuance) {

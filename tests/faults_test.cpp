@@ -31,6 +31,18 @@ sim::ScenarioConfig fault_config(std::uint64_t seed) {
   return config;
 }
 
+/// True when some output of the block is a key-release offer.
+bool carries_key_release(const chain::Block& block) {
+  for (const chain::Transaction& tx : block.txs) {
+    for (const chain::TxOut& out : tx.vout) {
+      if (script::classify(out.script_pubkey).type ==
+          script::ScriptType::kKeyRelease)
+        return true;
+    }
+  }
+  return false;
+}
+
 // --- FaultPlan mechanics ---
 
 TEST(FaultPlan, MinerStallFreezesAndResumesBlockProduction) {
@@ -180,16 +192,10 @@ TEST(ReorgRecovery, OrphanedOfferSettlesExactlyOnce) {
   auto offer_confirmed_once = [&]() -> bool {
     if (offers == 0) return false;
     const auto& chain = s.master_node().chain();
-    bool found = false;
-    chain.scan_recent(3, [&](const chain::Transaction& tx, int) {
-      for (const auto& out : tx.vout) {
-        if (script::classify(out.script_pubkey).type ==
-            script::ScriptType::kKeyRelease) {
-          found = true;
-        }
-      }
-    });
-    return found;
+    for (int h = chain.height(); h > chain.height() - 3 && h >= 0; --h) {
+      if (carries_key_release(*chain.block_at(h))) return true;
+    }
+    return false;
   };
   const util::SimTime mine_deadline = s.loop().now() + 10 * util::kMinute;
   while (!offer_confirmed_once() && s.loop().now() < mine_deadline) {
@@ -222,17 +228,10 @@ TEST(ReorgRecovery, OrphanedOfferSettlesExactlyOnce) {
   ASSERT_GT(s.master_node().chain().height(), tip);
   {
     // The offer must actually be orphaned for the test to mean anything.
+    const auto& chain = s.master_node().chain();
     bool still_confirmed = false;
-    s.master_node().chain().scan_recent(
-        s.master_node().chain().height(),
-        [&](const chain::Transaction& tx, int) {
-          for (const auto& out : tx.vout) {
-            if (script::classify(out.script_pubkey).type ==
-                script::ScriptType::kKeyRelease) {
-              still_confirmed = true;
-            }
-          }
-        });
+    for (int h = 0; h <= chain.height(); ++h)
+      still_confirmed |= carries_key_release(*chain.block_at(h));
     ASSERT_FALSE(still_confirmed) << "fork failed to orphan the offer";
   }
 
