@@ -45,11 +45,11 @@ struct Lab {
     params.block_interval = 15 * util::kSecond;
     p2p::ChainNodeConfig node_config;
     attacker_node = std::make_unique<p2p::ChainNode>(
-        loop, net, net.add_host("attacker"), params, node_config, seed + 1);
+        net, net.add_host("attacker"), params, node_config, seed + 1);
     gateway_node = std::make_unique<p2p::ChainNode>(
-        loop, net, net.add_host("gateway"), params, node_config, seed + 2);
+        net, net.add_host("gateway"), params, node_config, seed + 2);
     miner_node = std::make_unique<p2p::ChainNode>(
-        loop, net, net.add_host("miner"), params, node_config, seed + 3);
+        net, net.add_host("miner"), params, node_config, seed + 3);
     miner = std::make_unique<chain::Miner>(params, master.pkh());
 
     // Fund the attacker.

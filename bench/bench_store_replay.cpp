@@ -17,7 +17,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -194,29 +193,7 @@ int main() {
               replay_ms.mean(), kBlocks, replay_blocks_per_s,
               replay_mib_per_s);
 
-  // --- 4. Parallel replay: decode fan-out across hardware threads ---
-  util::SampleStats parallel_ms;
-  for (int rep = 0; rep < kReps; ++rep) {
-    store::StoreOptions options;
-    options.dir = replay_dir.str();
-    options.replay_threads = -1;  // one decoder per hardware thread
-    const auto t0 = Clock::now();
-    auto st = store::ChainStore::open(factory.params, options);
-    parallel_ms.add(ms_since(t0));
-    if (st == nullptr || st->recovery().replayed_blocks !=
-                             static_cast<std::size_t>(kBlocks)) {
-      std::fprintf(stderr, "parallel replay recovery failed\n");
-      return 1;
-    }
-  }
-  const double parallel_replay_blocks_per_s =
-      kBlocks / (parallel_ms.mean() / 1e3);
-  std::printf("parallel replay  : %8.2f ms for %d blocks (%.0f blocks/s, "
-              "%u decode threads)\n",
-              parallel_ms.mean(), kBlocks, parallel_replay_blocks_per_s,
-              std::thread::hardware_concurrency());
-
-  // --- 5. Incremental elements: delta cost vs state size, compaction ---
+  // --- 4. Incremental elements: delta cost vs state size, compaction ---
   // Writes a base, appends a fixed window, writes a delta — once on a small
   // chain and once on a large one. A delta priced by *change* has the same
   // cost at both scales while the full base grows with the UTXO set.
@@ -322,9 +299,6 @@ int main() {
     w.num("replay_ms", replay_ms.mean(), "%.3f");
     w.num("replay_blocks_per_s", replay_blocks_per_s, "%.1f");
     w.num("replay_mib_per_s", replay_mib_per_s, "%.2f");
-    w.num("parallel_replay_ms", parallel_ms.mean(), "%.3f");
-    w.num("parallel_replay_blocks_per_s", parallel_replay_blocks_per_s,
-          "%.1f");
     w.uint("incremental_snapshot_bytes", large_probe.delta_bytes);
     w.uint("incremental_snapshot_bytes_small_state", small_probe.delta_bytes);
     w.uint("base_snapshot_bytes_small_state", small_probe.base_bytes);

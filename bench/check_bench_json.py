@@ -39,8 +39,6 @@ SCHEMAS = {
         "replay_ms": NUM,
         "replay_blocks_per_s": NUM,
         "replay_mib_per_s": NUM,
-        "parallel_replay_ms": NUM,
-        "parallel_replay_blocks_per_s": NUM,
         "incremental_snapshot_bytes": NUM,
         "incremental_snapshot_bytes_small_state": NUM,
         "base_snapshot_bytes_small_state": NUM,
@@ -107,20 +105,6 @@ SCHEMAS = {
         "peak_rss_bytes": NUM,
         "peak_rss_gib": NUM,
     },
-    "CLUSTER": {
-        "smoke": bool,
-        "nodes": NUM,
-        "exchanges": NUM,
-        "exchanges_completed": NUM,
-        "wall_seconds": NUM,
-        "exchanges_per_s": NUM,
-        "latency_p50_ms": NUM,
-        "latency_p99_ms": NUM,
-        "frames_sent": NUM,
-        "bytes_sent": NUM,
-        "converged": bool,
-        "peak_rss_bytes": NUM,
-    },
 }
 
 # Lists of (metric, direction): direction "higher" means larger values are
@@ -130,7 +114,6 @@ HEADLINES = {
     # incremental_snapshot_bytes gates "a delta grew back into a full base"
     # (lower is better); compaction_ms keeps the fold itself bounded.
     "STORE-REPLAY": [("replay_blocks_per_s", "higher"),
-                     ("parallel_replay_blocks_per_s", "higher"),
                      ("incremental_snapshot_bytes", "lower"),
                      ("compaction_ms", "lower")],
     "VAL-TPUT": [("best_config_speedup", "higher"),  # derived, see below
@@ -140,10 +123,6 @@ HEADLINES = {
     "ADV-MATRIX": [("defense_success_ratio", "higher")],
     "SCALE": [("exchanges_per_sec_wall", "higher"),
               ("peak_rss_gib", "lower")],
-    # Real-socket exchange throughput: localhost RTTs are stable enough on
-    # shared runners for an order-of-magnitude gate; raw ms percentiles
-    # stay schema-only.
-    "CLUSTER": [("exchanges_per_s", "higher")],
 }
 
 # Hard correctness bits: if present and false, fail regardless of timings.
@@ -154,7 +133,7 @@ HEADLINES = {
 CORRECTNESS_FLAGS = ["equivalence_ok", "verdicts_match",
                      "economic_invariants_hold", "verify_clean",
                      "trace_repeat_equal", "chain_tips_repeat_equal",
-                     "converged", "snapshot_cost_independent"]
+                     "snapshot_cost_independent"]
 
 
 def fail(code, msg):

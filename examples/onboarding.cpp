@@ -2,11 +2,11 @@
 //
 // The paper's master node exists "to bootstrap the nodes" (§5.2): a joining
 // actor needs the current chain before it can serve lookups or verify
-// offers. This example runs a small federation, snapshots one member's
-// chain with Blockchain::export_chain, "ships" it to a newcomer
-// (import_chain re-validates every block — a tampered snapshot is
-// rejected), and shows the newcomer's directory immediately resolving every
-// existing recipient.
+// offers. This example runs a small federation, ships one member's blocks
+// to a newcomer as the member stores them (the bytes getblocks catch-up
+// serves), has the newcomer re-validate every block on a fresh chain — a
+// tampered block is rejected — and shows the newcomer's directory
+// immediately resolving every existing recipient.
 //
 //   ./onboarding
 #include <cstdio>
@@ -16,7 +16,7 @@
 
 int main() {
   using namespace bcwan;
-  std::printf("BcWAN member onboarding via chain snapshot\n");
+  std::printf("BcWAN member onboarding via block catch-up\n");
   std::printf("------------------------------------------\n\n");
 
   sim::ScenarioConfig config;
@@ -37,35 +37,48 @@ int main() {
               veteran.chain().height(), veteran.chain().utxo().size(),
               static_cast<unsigned long long>(scenario.exchanges_completed()));
 
-  // 1. Snapshot a member's chain.
-  const util::Bytes snapshot = veteran.chain().export_chain();
-  std::printf("[snapshot]   exported %zu bytes (%d blocks)\n",
-              snapshot.size(), veteran.chain().height());
+  // 1. Ship the member's blocks, as stored, and re-validate each one on a
+  //    fresh chain — the getblocks catch-up path.
+  const chain::Blockchain& source = veteran.chain();
+  chain::Blockchain newcomer(config.chain_params);
+  std::size_t shipped = 0;
+  const auto ship = [&](const util::Bytes& bytes) {
+    shipped += bytes.size();
+    const auto block = chain::Block::deserialize(bytes);
+    return block ? newcomer.accept_block(*block)
+                 : chain::AcceptBlockResult::kInvalid;
+  };
+  for (int h = 1; h < source.height(); ++h) {
+    if (ship(*source.block_bytes_at(h)) !=
+        chain::AcceptBlockResult::kConnected) {
+      std::printf("[join]       block %d failed validation unexpectedly\n", h);
+      return 1;
+    }
+  }
 
-  // 2. A tampered snapshot is rejected outright.
-  util::Bytes tampered = snapshot;
-  tampered[tampered.size() / 3] ^= 0x40;
-  const auto rejected =
-      chain::Blockchain::import_chain(config.chain_params, tampered);
-  std::printf("[integrity]  tampered snapshot %s\n",
-              rejected ? "ACCEPTED (BUG!)" : "rejected, as it must be");
+  // 2. A tampered tip is rejected outright.
+  util::Bytes tampered = *source.block_bytes_at(source.height());
+  tampered[tampered.size() / 2] ^= 0x40;
+  const bool rejected = ship(tampered) != chain::AcceptBlockResult::kConnected;
+  std::printf("[integrity]  tampered block %s\n",
+              rejected ? "rejected, as it must be" : "ACCEPTED (BUG!)");
 
-  // 3. The genuine snapshot re-validates block by block.
-  auto newcomer =
-      chain::Blockchain::import_chain(config.chain_params, snapshot);
-  if (!newcomer) {
-    std::printf("[join]       import failed unexpectedly\n");
+  // 3. The genuine tip connects.
+  if (ship(*source.block_bytes_at(source.height())) !=
+      chain::AcceptBlockResult::kConnected) {
+    std::printf("[join]       tip failed validation unexpectedly\n");
     return 1;
   }
-  std::printf("[join]       newcomer synced to height %d, tip %s...\n",
-              newcomer->height(),
-              chain::hash_hex(newcomer->tip_hash()).substr(0, 16).c_str());
+  std::printf("[join]       newcomer validated %zu bytes up to height %d, "
+              "tip %s...\n",
+              shipped, newcomer.height(),
+              chain::hash_hex(newcomer.tip_hash()).substr(0, 16).c_str());
 
   // 4. The newcomer's directory scan resolves every recipient in the
   //    federation — it can start forwarding as a gateway immediately.
   int resolved = 0;
-  for (int h = 0; h <= newcomer->height(); ++h) {
-    const chain::Block block = *newcomer->block_at(h);
+  for (int h = 0; h <= newcomer.height(); ++h) {
+    const chain::Block block = *newcomer.block_at(h);
     for (const chain::Transaction& tx : block.txs) {
       for (const chain::TxOut& out : tx.vout) {
         const auto classified = script::classify(out.script_pubkey);
@@ -75,14 +88,14 @@ int main() {
       }
     }
   }
-  std::printf("[directory]  %d announcement(s) recovered from the snapshot:\n",
+  std::printf("[directory]  %d announcement(s) recovered from the chain:\n",
               resolved);
   for (int a = 0; a < scenario.actor_count(); ++a) {
     std::printf("               %s -> (published on-chain)\n",
                 scenario.recipient(a).wallet().address().c_str());
   }
 
-  std::printf("\nA joining actor needs nothing but the snapshot and the\n"
+  std::printf("\nA joining actor needs nothing but the blocks and the\n"
               "federation's chain parameters — no trusted introducer.\n");
   return 0;
 }

@@ -23,15 +23,14 @@
 //   matrix <dir> <height> <trials> <seed>
 //                         deterministic crash sweep: per trial, fork a
 //                         throttled run under a randomly varied store
-//                         config (incremental on/off, compaction cadence,
-//                         undo pruning), SIGKILL it at a seeded random
-//                         offset, occasionally tear the log tail, restart
-//                         until a run exits clean, and require the
-//                         recovered tip + state hash to equal the
-//                         uninterrupted run's. Any divergence exits 1.
+//                         config (element cadence, undo pruning), SIGKILL
+//                         it at a seeded random offset, occasionally tear
+//                         the log tail, restart until a run exits clean,
+//                         and require the recovered tip + state hash to
+//                         equal the uninterrupted run's and at least one
+//                         compaction on disk. Any failure exits 1.
 //
-// Store knobs (read by run/status): BCWAN_PERSIST_INCREMENTAL=0|1,
-// BCWAN_PERSIST_COMPACT_EVERY=<n>, BCWAN_PERSIST_UNDO_DEPTH=<n>,
+// Store knobs (read by run/status): BCWAN_PERSIST_UNDO_DEPTH=<n>,
 // BCWAN_PERSIST_SNAPSHOT_INTERVAL=<n>.
 #include <sys/wait.h>
 #include <unistd.h>
@@ -46,6 +45,7 @@
 
 #include "chain/miner.hpp"
 #include "chain/wallet.hpp"
+#include "store/snapshot.hpp"
 #include "store/store.hpp"
 #include "util/rng.hpp"
 
@@ -121,10 +121,6 @@ store::StoreOptions options_from_env(const std::string& dir) {
   options.fsync_each_append = true;
   options.snapshot_interval = static_cast<std::uint64_t>(
       env_long("BCWAN_PERSIST_SNAPSHOT_INTERVAL", 32));
-  options.incremental_snapshots =
-      env_long("BCWAN_PERSIST_INCREMENTAL", 1) != 0;
-  options.compact_every =
-      static_cast<std::uint64_t>(env_long("BCWAN_PERSIST_COMPACT_EVERY", 8));
   options.undo_prune_depth =
       static_cast<int>(env_long("BCWAN_PERSIST_UNDO_DEPTH", -1));
   return options;
@@ -201,11 +197,11 @@ int run_matrix(const std::string& dir, int height, int trials,
     store::StoreOptions options;
     options.dir = trial_dir;
     options.fsync_each_append = true;
-    // Vary the persistence shape: cadence, compaction, pruning, and the
-    // legacy full-base mode all take kills at random offsets.
-    options.snapshot_interval = 1ULL << rng.range(2, 4);       // 4..16
-    options.incremental_snapshots = !rng.chance(0.25);
-    options.compact_every = rng.range(1, 4);
+    // Vary the persistence shape: element cadence and pruning take kills
+    // at random offsets. An interval of at most 6 writes 20+ elements over
+    // a 120-block run, so every trial crosses a compaction (one base plus
+    // kCompactEvery deltas) even when kills restart the cadence count.
+    options.snapshot_interval = rng.range(2, 6);
     options.undo_prune_depth = rng.chance(0.5) ? -1 : static_cast<int>(
                                    rng.range(8, 24));
     // Mining runs ~1 ms/block throttled; a kill offset across ~1.3x the
@@ -276,13 +272,18 @@ int run_matrix(const std::string& dir, int height, int trials,
                    trial, recovered.height(), tip.c_str(), state.c_str());
       return 1;
     }
+    // Only the first base is written without a predecessor; a second one
+    // on disk is a compaction that folded the delta chain.
+    const std::size_t bases = store::list_snapshots(trial_dir).size();
+    if (bases < 2) {
+      std::fprintf(stderr, "matrix trial %d never compacted (%zu base)\n",
+                   trial, bases);
+      return 1;
+    }
     std::printf(
-        "matrix trial %d ok: %d attempts (interval=%llu incremental=%d "
-        "compact_every=%llu undo_depth=%d)\n",
+        "matrix trial %d ok: %d attempts (interval=%llu undo_depth=%d)\n",
         trial, attempts,
         static_cast<unsigned long long>(options.snapshot_interval),
-        options.incremental_snapshots ? 1 : 0,
-        static_cast<unsigned long long>(options.compact_every),
         options.undo_prune_depth);
     std::fflush(stdout);
   }

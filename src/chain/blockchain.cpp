@@ -174,14 +174,6 @@ AcceptBlockResult Blockchain::accept_block(const Block& block) {
   return accept_internal(Block(block), block.hash(), {}, nullptr);
 }
 
-AcceptBlockResult Blockchain::replay_block(const Block& block,
-                                           const BlockUndo* undo) {
-  std::optional<LoggedUndo> logged;
-  if (undo != nullptr) logged = LoggedUndo{*undo, encode_undo(*undo)};
-  return replay_block(Block(block), block.hash(), block.serialize(),
-                      logged ? &*logged : nullptr);
-}
-
 AcceptBlockResult Blockchain::replay_block(Block&& block, const Hash256& hash,
                                            util::Bytes&& body,
                                            LoggedUndo* undo) {
@@ -368,35 +360,6 @@ Block Blockchain::disconnect_tip() {
   return block;
 }
 
-util::Bytes Blockchain::export_chain() const {
-  util::Writer w;
-  w.varint(active_.size() - 1);  // genesis is implicit (deterministic)
-  for (std::size_t h = 1; h < active_.size(); ++h) {
-    w.var_bytes(blocks_.at(active_[h]).body);
-  }
-  return w.take();
-}
-
-std::optional<Blockchain> Blockchain::import_chain(const ChainParams& params,
-                                                   util::ByteView data) {
-  try {
-    util::Reader r(data);
-    Blockchain chain(params);
-    const std::uint64_t count = r.varint();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const auto block = Block::deserialize(r.var_bytes());
-      if (!block) return std::nullopt;
-      if (chain.accept_block(*block) != AcceptBlockResult::kConnected) {
-        return std::nullopt;
-      }
-    }
-    r.expect_done();
-    return chain;
-  } catch (const util::DeserializeError&) {
-    return std::nullopt;
-  }
-}
-
 Hash256 Blockchain::state_hash() const {
   util::Writer w;
   w.u32(static_cast<std::uint32_t>(height()));
@@ -408,10 +371,8 @@ Hash256 Blockchain::state_hash() const {
 }
 
 namespace {
-// v2 adds a per-block flags byte (bit 0: undo pruned). v1 dumps are still
-// readable — flags default to zero.
+// v2 carries a per-block flags byte (bit 0: undo pruned).
 constexpr std::uint32_t kStateVersion = 2;
-constexpr std::uint32_t kStateVersionV1 = 1;
 constexpr std::uint8_t kBlockFlagUndoPruned = 0x01;
 }  // namespace
 
@@ -450,9 +411,7 @@ std::optional<Blockchain> Blockchain::restore_state(const ChainParams& params,
                                                     util::ByteView data) {
   try {
     util::Reader r(data);
-    const std::uint32_t version = r.u32();
-    if (version != kStateVersion && version != kStateVersionV1)
-      return std::nullopt;
+    if (r.u32() != kStateVersion) return std::nullopt;
     Blockchain chain(params);
     const Hash256 genesis_hash = chain.active_.front();
     chain.blocks_.clear();
@@ -470,8 +429,7 @@ std::optional<Blockchain> Blockchain::restore_state(const ChainParams& params,
       const auto block = Block::deserialize(body);
       if (!block) return std::nullopt;
       const int block_height = static_cast<int>(r.u32());
-      const std::uint8_t flags =
-          version >= kStateVersion ? r.u8() : std::uint8_t{0};
+      const std::uint8_t flags = r.u8();
       const util::ByteView undo = r.var_view();
       util::Reader undo_r(undo);
       read_undo(undo_r);

@@ -59,14 +59,9 @@ class Blockchain {
   /// execution are skipped — every replayed block passed full validation
   /// before it reached the CRC-protected log. A logged `undo` lets a plain
   /// tip extension skip validation entirely and re-apply the recorded UTXO
-  /// delta. The block sink never fires during replay.
-  AcceptBlockResult replay_block(const Block& block,
-                                 const BlockUndo* undo = nullptr);
-
-  /// Move-aware replay fast path for the store's parallel decoder: the
-  /// block (hash precomputed during decode), its serialized `body` and the
-  /// undo bytes (the log's own bytes, kept as the stored form) are consumed
-  /// instead of copied. Identical state machine to replay_block above.
+  /// delta. The block (with its logged `hash`), its serialized `body` and
+  /// the undo bytes (kept as the stored form) are consumed, not copied.
+  /// The block sink never fires during replay.
   AcceptBlockResult replay_block(Block&& block, const Hash256& hash,
                                  util::Bytes&& body, LoggedUndo* undo);
 
@@ -97,8 +92,8 @@ class Blockchain {
   Hash256 state_hash() const;
 
   /// Full chainstate dump for snapshots: every stored block with height
-  /// and undo, the active chain, and the UTXO set. Heavier than
-  /// export_chain() but restore_state() needs no re-validation.
+  /// and undo, the active chain, and the UTXO set. restore_state() needs
+  /// no re-validation.
   ///
   /// `undo_keep_depth >= 0` prunes spent-coin undo records of active
   /// blocks buried deeper than that many blocks below the tip: their undo
@@ -200,15 +195,6 @@ class Blockchain {
   std::vector<Transaction> take_disconnected_txs() {
     return std::exchange(disconnected_txs_, {});
   }
-
-  /// Serialize the active chain (blocks above genesis) for persistence or
-  /// for bootstrapping a new federation member out-of-band.
-  util::Bytes export_chain() const;
-
-  /// Rebuild a chain from an export, re-validating every block under
-  /// `params`. std::nullopt if the stream is malformed or any block fails.
-  static std::optional<Blockchain> import_chain(const ChainParams& params,
-                                                util::ByteView data);
 
  private:
   // Bodies stay serialized (~355 B/tx, against ~580 B/tx as Transaction

@@ -37,10 +37,6 @@ bool ChainNode::open_store_and_recover(std::string* error) {
   opts.dir = config_.store_dir;
   opts.fsync_each_append = config_.store_fsync;
   opts.snapshot_interval = config_.snapshot_interval;
-  opts.incremental_snapshots = config_.incremental_snapshots;
-  opts.compact_every = config_.compact_every;
-  opts.undo_prune_depth = config_.undo_prune_depth;
-  opts.replay_threads = config_.replay_threads;
   auto opened = store::ChainStore::open(chain_.params(), std::move(opts), error);
   if (!opened) return false;
   store_ = std::move(opened);

@@ -23,8 +23,6 @@
 
 namespace bcwan::p2p {
 
-class EventLoop;
-
 struct ChainNodeConfig {
   /// Fig. 6 mode: stall the daemon on every block arrival.
   bool block_verification_stall = false;
@@ -44,15 +42,6 @@ struct ChainNodeConfig {
   bool store_fsync = true;
   /// Blocks between automatic chainstate snapshots.
   std::uint64_t snapshot_interval = 16;
-  /// Write differential snapshots (base + delta chain) instead of a full
-  /// base per interval (see StoreOptions::incremental_snapshots).
-  bool incremental_snapshots = true;
-  /// Deltas between compacting base snapshots.
-  std::uint64_t compact_every = 8;
-  /// Spent-coin undo retention depth; negative keeps everything.
-  int undo_prune_depth = -1;
-  /// Decode threads for recovery replay; negative = hardware concurrency.
-  int replay_threads = -1;
 };
 
 class ChainNode {
@@ -61,15 +50,6 @@ class ChainNode {
   /// TcpTransport; the node's timers (sync back-off) read `net.now()`.
   ChainNode(Transport& net, HostId host, const chain::ChainParams& params,
             ChainNodeConfig config, std::uint64_t seed);
-  /// Legacy simulator signature — the loop argument is implied by the
-  /// SimNet and kept only so existing scenario/test call sites read
-  /// naturally.
-  ChainNode(EventLoop& loop, Transport& net, HostId host,
-            const chain::ChainParams& params, ChainNodeConfig config,
-            std::uint64_t seed)
-      : ChainNode(net, host, params, std::move(config), seed) {
-    (void)loop;
-  }
 
   HostId host() const noexcept { return host_; }
   chain::Blockchain& chain() noexcept { return chain_; }

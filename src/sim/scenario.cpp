@@ -109,7 +109,7 @@ void Scenario::build() {
           config_.persist_dir + "/actor-" + std::to_string(a);
     }
     actor_nodes_.push_back(std::make_unique<p2p::ChainNode>(
-        loop_, *net_, host, config_.chain_params, node_config, rng_.next()));
+        *net_, host, config_.chain_params, node_config, rng_.next()));
   }
   // Master host (the "AWS EC2 instance"): mines, never stalls the others.
   {
@@ -118,7 +118,7 @@ void Scenario::build() {
       master_config.store_dir = config_.persist_dir + "/master";
     const p2p::HostId host = net_->add_host("master");
     master_node_ = std::make_unique<p2p::ChainNode>(
-        loop_, *net_, host, config_.chain_params, master_config, rng_.next());
+        *net_, host, config_.chain_params, master_config, rng_.next());
   }
   master_wallet_ = std::make_unique<chain::Wallet>(
       chain::Wallet::from_seed("scenario-master"));

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <system_error>
@@ -78,6 +79,32 @@ void set_error(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = msg;
 }
 
+util::Bytes file_header() {
+  util::Writer w;
+  w.bytes(util::ByteView(reinterpret_cast<const std::uint8_t*>(kLogMagic),
+                         sizeof(kLogMagic)));
+  w.u32(kLogVersion);
+  return w.take();
+}
+
+/// Empty, or a prefix of the file header: a log whose header write a crash
+/// cut short (creation, or reset() after an element retired the records).
+/// No record ever reached it.
+bool header_prefix_only(util::ByteView data) {
+  const util::Bytes header = file_header();
+  return data.size() < header.size() &&
+         std::equal(data.begin(), data.end(), header.begin());
+}
+
+/// Restart `f` as an empty log: truncate, write the file header, fsync.
+bool write_fresh_log(std::FILE* f) {
+  if (::ftruncate(::fileno(f), 0) != 0) return false;
+  std::rewind(f);
+  const util::Bytes header = file_header();
+  return std::fwrite(header.data(), 1, header.size(), f) == header.size() &&
+         fsync_file(f);
+}
+
 }  // namespace
 
 const char* scan_status_name(ScanStatus s) {
@@ -90,8 +117,10 @@ const char* scan_status_name(ScanStatus s) {
   return "unknown";
 }
 
-ScanImage scan_log_bounds(util::ByteView data) {
-  ScanImage out;
+ScanResult scan_log(util::Bytes bytes) {
+  ScanResult out;
+  out.image = std::move(bytes);
+  const util::ByteView data(out.image);
   out.file_bytes = data.size();
   if (data.size() < kFileHeaderBytes ||
       std::memcmp(data.data(), kLogMagic, sizeof(kLogMagic)) != 0 ||
@@ -123,24 +152,6 @@ ScanImage scan_log_bounds(util::ByteView data) {
   return out;
 }
 
-ScanResult scan_log(util::ByteView data) {
-  ScanImage bounds = scan_log_bounds(data);
-  ScanResult out;
-  out.status = bounds.status;
-  out.valid_bytes = bounds.valid_bytes;
-  out.file_bytes = bounds.file_bytes;
-  out.records.reserve(bounds.records.size());
-  for (const RecordBounds& rb : bounds.records) {
-    LogRecord rec;
-    rec.seq = rb.seq;
-    const util::ByteView payload =
-        data.subspan(static_cast<std::size_t>(rb.offset), rb.len);
-    rec.payload.assign(payload.begin(), payload.end());
-    out.records.push_back(std::move(rec));
-  }
-  return out;
-}
-
 BlockLog::~BlockLog() { close(); }
 
 BlockLog::BlockLog(BlockLog&& other) noexcept
@@ -166,7 +177,7 @@ void BlockLog::close() {
   offset_ = 0;
 }
 
-bool BlockLog::open(const std::string& path, ScanImage& scan,
+bool BlockLog::open(const std::string& path, ScanResult& scan,
                     std::string* error) {
   close();
   std::FILE* f = std::fopen(path.c_str(), "r+b");
@@ -187,23 +198,13 @@ bool BlockLog::open(const std::string& path, ScanImage& scan,
     return false;
   }
 
-  if (data.empty()) {
-    // Fresh log: write the file header.
-    if (std::fwrite(kLogMagic, 1, sizeof(kLogMagic), f) != sizeof(kLogMagic)) {
+  if (header_prefix_only(data)) {
+    if (!write_fresh_log(f)) {
       std::fclose(f);
       set_error(error, "cannot write block log header: " + path);
       return false;
     }
-    util::Writer w;
-    w.u32(kLogVersion);
-    if (std::fwrite(w.data().data(), 1, w.data().size(), f) !=
-            w.data().size() ||
-        !fsync_file(f)) {
-      std::fclose(f);
-      set_error(error, "cannot write block log header: " + path);
-      return false;
-    }
-    scan = ScanImage{};
+    scan = ScanResult{};
     scan.valid_bytes = kFileHeaderBytes;
     scan.file_bytes = kFileHeaderBytes;
     file_ = f;
@@ -212,8 +213,7 @@ bool BlockLog::open(const std::string& path, ScanImage& scan,
     return true;
   }
 
-  scan = scan_log_bounds(data);
-  scan.image = std::move(data);
+  scan = scan_log(std::move(data));
   if (scan.status == ScanStatus::kBadHeader ||
       scan.status == ScanStatus::kCorrupt) {
     std::fclose(f);
@@ -235,25 +235,6 @@ bool BlockLog::open(const std::string& path, ScanImage& scan,
   file_ = f;
   path_ = path;
   offset_ = scan.valid_bytes;
-  return true;
-}
-
-bool BlockLog::open(const std::string& path, ScanResult& scan,
-                    std::string* error) {
-  ScanImage bounds;
-  if (!open(path, bounds, error)) return false;
-  scan = ScanResult{};
-  scan.status = bounds.status;
-  scan.valid_bytes = bounds.valid_bytes;
-  scan.file_bytes = bounds.file_bytes;
-  scan.records.reserve(bounds.records.size());
-  for (const RecordBounds& rb : bounds.records) {
-    LogRecord rec;
-    rec.seq = rb.seq;
-    const util::ByteView payload = bounds.payload(rb);
-    rec.payload.assign(payload.begin(), payload.end());
-    scan.records.push_back(std::move(rec));
-  }
   return true;
 }
 
@@ -285,18 +266,7 @@ bool BlockLog::append(std::uint64_t seq, util::ByteView payload, bool sync) {
 bool BlockLog::sync() { return file_ != nullptr && fsync_file(file_); }
 
 bool BlockLog::reset() {
-  if (file_ == nullptr) return false;
-  if (::ftruncate(::fileno(file_), 0) != 0) return false;
-  std::rewind(file_);
-  if (std::fwrite(kLogMagic, 1, sizeof(kLogMagic), file_) != sizeof(kLogMagic))
-    return false;
-  util::Writer w;
-  w.u32(kLogVersion);
-  if (std::fwrite(w.data().data(), 1, w.data().size(), file_) !=
-      w.data().size()) {
-    return false;
-  }
-  if (!fsync_file(file_)) return false;
+  if (file_ == nullptr || !write_fresh_log(file_)) return false;
   offset_ = kFileHeaderBytes;
   return true;
 }

@@ -38,11 +38,6 @@ inline constexpr std::size_t kRecordHeaderBytes = 20;
 /// scanner skip gigabytes).
 inline constexpr std::uint32_t kMaxPayloadBytes = 32u << 20;
 
-struct LogRecord {
-  std::uint64_t seq = 0;
-  util::Bytes payload;
-};
-
 enum class ScanStatus {
   kOk,         // clean end of file
   kTornTail,   // torn/incomplete tail record; valid_bytes = truncation point
@@ -52,29 +47,15 @@ enum class ScanStatus {
 
 const char* scan_status_name(ScanStatus s);
 
-struct ScanResult {
-  ScanStatus status = ScanStatus::kOk;
-  std::vector<LogRecord> records;
-  /// Offset one past the last valid record (== file size when kOk).
-  std::uint64_t valid_bytes = 0;
-  std::uint64_t file_bytes = 0;
-  std::uint64_t truncated_bytes() const { return file_bytes - valid_bytes; }
-};
-
-/// Parse a log image in memory. Never touches the filesystem — the unit
-/// tests drive every torn-tail offset through this directly.
-ScanResult scan_log(util::ByteView data);
-
-/// Zero-copy scan: record payloads stay in the owned file image and replay
-/// decodes views straight out of it. Copying every payload into its own
-/// Bytes was a measurable slice of the recovery profile.
+/// A record's place in the scanned image: replay decodes views straight
+/// out of the image instead of copying every payload.
 struct RecordBounds {
   std::uint64_t seq = 0;
   std::uint64_t offset = 0;  // payload offset within the image
   std::uint32_t len = 0;
 };
 
-struct ScanImage {
+struct ScanResult {
   ScanStatus status = ScanStatus::kOk;
   util::Bytes image;  // raw file bytes (pre-truncation)
   std::vector<RecordBounds> records;
@@ -88,8 +69,10 @@ struct ScanImage {
   }
 };
 
-/// Bounds-only scan over `data` (which the caller keeps alive).
-ScanImage scan_log_bounds(util::ByteView data);
+/// Parse a log image in memory (kept as the result's `image`). Never
+/// touches the filesystem — the unit tests drive every torn-tail offset
+/// through this directly.
+ScanResult scan_log(util::Bytes data);
 
 class BlockLog {
  public:
@@ -100,14 +83,11 @@ class BlockLog {
   BlockLog(BlockLog&& other) noexcept;
   BlockLog& operator=(BlockLog&& other) noexcept;
 
-  /// Open (creating an empty log if absent), scan existing records into
-  /// `scan`, and truncate a torn tail in place. Returns false — leaving the
-  /// log closed — on kCorrupt, kBadHeader or I/O failure.
+  /// Open (creating an empty log if absent or if the file holds only part
+  /// of the header, a header write cut short by a crash), scan existing
+  /// records into `scan`, and truncate a torn tail in place. Returns false —
+  /// leaving the log closed — on kCorrupt, kBadHeader or I/O failure.
   bool open(const std::string& path, ScanResult& scan, std::string* error);
-
-  /// Zero-copy variant: `scan.image` owns the file bytes and the records
-  /// are bounds into it. The store's replay path uses this.
-  bool open(const std::string& path, ScanImage& scan, std::string* error);
 
   bool is_open() const noexcept { return file_ != nullptr; }
   const std::string& path() const noexcept { return path_; }

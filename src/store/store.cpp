@@ -4,14 +4,11 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <functional>
 #include <system_error>
-#include <thread>
 
 #include "store/snapshot.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/serial.hpp"
-#include "util/threadpool.hpp"
 
 namespace fs = std::filesystem;
 
@@ -20,9 +17,28 @@ namespace {
 
 constexpr const char* kLogFileName = "blocks.log";
 
-/// Below this many pending records open() decodes on the calling thread;
-/// pool dispatch would eat the win on tiny logs.
-constexpr std::size_t kMinRecordsForParallelDecode = 64;
+/// Log record kind tag: a block with its hash and txids, the only kind.
+constexpr std::uint8_t kBlockRecordKind = 2;
+
+/// Transaction count of a logged block, read without decoding it: the
+/// varint after the header's fixed fields and its two var_bytes. 0 on
+/// malformed bytes (the full decode reports those).
+std::size_t record_tx_count(util::ByteView payload) {
+  try {
+    util::Reader r(payload);
+    r.view(2 + 32);  // kind, has_undo, block hash
+    util::Reader body(r.var_view());
+    body.view(4 + 32 + 32 + 8 + 4 + 4);
+    body.var_view();  // proposer_pubkey
+    body.var_view();  // pos_signature
+    const std::uint64_t txs = body.varint();
+    // Every tx takes at least a byte: a corrupt count cannot over-reserve.
+    return static_cast<std::size_t>(
+        std::min<std::uint64_t>(txs, body.remaining()));
+  } catch (const util::DeserializeError&) {
+    return 0;
+  }
+}
 
 void set_error(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = msg;
@@ -62,13 +78,13 @@ std::string log_file_path(const std::string& dir) {
 
 util::Bytes encode_block_record(const chain::Block& block, util::ByteView body,
                                 const util::Bytes* undo) {
-  // Record kind 2 carries the block hash and every txid alongside the
+  // The record carries the block hash and every txid alongside the
   // serialized block: replay trusts the CRC-protected log exactly as it
   // already trusts it to skip validation, so recovery never re-runs
   // SHA-256d over blocks it wrote itself (the dominant cost of decode on
-  // hardware with slow hashing). Kind-1 records (no ids) remain readable.
+  // hardware with slow hashing).
   util::Writer w;
-  w.u8(2);  // record kind: block + recorded ids
+  w.u8(kBlockRecordKind);
   w.u8(undo != nullptr ? 1 : 0);
   const chain::Hash256 hash = block.hash();
   w.bytes(util::ByteView(hash.data(), hash.size()));
@@ -84,30 +100,20 @@ util::Bytes encode_block_record(const chain::Block& block, util::ByteView body,
 std::optional<DecodedBlockRecord> decode_block_record(util::ByteView payload) {
   try {
     util::Reader r(payload);
-    const std::uint8_t kind = r.u8();
-    if (kind != 1 && kind != 2) return std::nullopt;
+    if (r.u8() != kBlockRecordKind) return std::nullopt;
     const bool has_undo = r.u8() != 0;
     DecodedBlockRecord out;
-    if (kind == 2) {
-      std::memcpy(out.hash.data(), r.view(out.hash.size()).data(),
-                  out.hash.size());
-      const util::ByteView body = r.var_view();
-      auto block = chain::Block::deserialize(body, false);
-      if (!block) return std::nullopt;
-      out.block = *std::move(block);
-      out.body.assign(body.begin(), body.end());
-      for (const chain::Transaction& tx : out.block.txs) {
-        chain::Hash256 txid{};
-        std::memcpy(txid.data(), r.view(txid.size()).data(), txid.size());
-        tx.seed_txid(txid);
-      }
-    } else {
-      const util::ByteView body = r.var_view();
-      auto block = chain::Block::deserialize(body);
-      if (!block) return std::nullopt;
-      out.block = *std::move(block);
-      out.body.assign(body.begin(), body.end());
-      out.hash = out.block.hash();
+    std::memcpy(out.hash.data(), r.view(out.hash.size()).data(),
+                out.hash.size());
+    const util::ByteView body = r.var_view();
+    auto block = chain::Block::deserialize(body, false);
+    if (!block) return std::nullopt;
+    out.block = *std::move(block);
+    out.body.assign(body.begin(), body.end());
+    for (const chain::Transaction& tx : out.block.txs) {
+      chain::Hash256 txid{};
+      std::memcpy(txid.data(), r.view(txid.size()).data(), txid.size());
+      tx.seed_txid(txid);
     }
     if (has_undo) {
       // The undo runs to the end of the payload; keep its bytes as logged.
@@ -220,12 +226,7 @@ std::unique_ptr<ChainStore> ChainStore::open(const chain::ChainParams& params,
   // 3. Arm the incremental machinery at the assembled state: the journal
   // window and anchor start HERE, before log replay, so the replayed tail
   // is part of the next delta.
-  if (store->options_.incremental_snapshots) {
-    chain->utxo_journal_begin();
-    store->anchor_tip_ = chain->tip_hash();
-    store->anchor_height_ = chain->height();
-    store->have_anchor_ = true;
-  }
+  store->rearm_anchor(*chain);
 
   // Element writes prune undo at the configured depth, but delta payloads
   // carry no pruning watermark — restoring base + deltas would silently
@@ -238,78 +239,49 @@ std::unique_ptr<ChainStore> ChainStore::open(const chain::ChainParams& params,
 
   // 4. The log: refuse mid-file corruption, truncate a torn tail. The scan
   // keeps payloads in the owned file image; replay decodes views out of it.
-  ScanImage scan;
+  ScanResult scan;
   const std::string log_path =
       (fs::path(store->options_.dir) / kLogFileName).string();
   if (!store->log_.open(log_path, scan, error)) return nullptr;
   store->recovery_.truncated_bytes = scan.truncated_bytes();
   store->recovery_.log_bytes = scan.valid_bytes;
 
-  // 5. Replay everything the element chain does not already cover:
-  // CRC/deserialize/hash on the pool, apply strictly in log order.
+  // 5. Replay everything the element chain does not already cover, one
+  // record at a time in log order. A first pass over the record headers
+  // sizes the chain's maps so the replay never rehashes.
   const auto t0 = std::chrono::steady_clock::now();
   std::uint64_t last_seq = 0;
-  std::vector<const RecordBounds*> todo;
-  todo.reserve(scan.records.size());
+  std::size_t pending_records = 0;
+  std::size_t pending_txs = 0;
   for (const RecordBounds& rb : scan.records) {
     last_seq = rb.seq;
-    if (rb.seq >= element_seq) todo.push_back(&rb);
+    if (rb.seq < element_seq) continue;
+    ++pending_records;
+    pending_txs += record_tx_count(scan.payload(rb));
   }
+  chain->reserve_for_replay(pending_records, pending_txs);
 
-  int threads = store->options_.replay_threads;
-  if (threads < 0) threads = static_cast<int>(std::thread::hardware_concurrency());
-  if (threads < 1) threads = 1;
-  store->recovery_.decode_threads = static_cast<unsigned>(threads);
-
-  const std::size_t n = todo.size();
-  std::vector<std::optional<DecodedBlockRecord>> decoded(n);
-  const auto decode_range = [&scan, &todo, &decoded](std::size_t begin,
-                                                     std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i)
-      decoded[i] = decode_block_record(scan.payload(*todo[i]));
-  };
-  if (threads > 1 && n >= kMinRecordsForParallelDecode) {
-    const std::size_t slices = std::min<std::size_t>(
-        static_cast<std::size_t>(threads), n / (kMinRecordsForParallelDecode / 2));
-    const std::size_t per = (n + slices - 1) / slices;
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(slices);
-    for (std::size_t begin = 0; begin < n; begin += per) {
-      const std::size_t end = std::min(begin + per, n);
-      tasks.push_back([&decode_range, begin, end] { decode_range(begin, end); });
-    }
-    util::ThreadPool::shared(static_cast<std::size_t>(threads) - 1)
-        .run(std::move(tasks));
-  } else {
-    decode_range(0, n);
-  }
-
-  std::size_t total_txs = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!decoded[i]) {
-      set_error(error, "log record " + std::to_string(todo[i]->seq) +
+  for (const RecordBounds& rb : scan.records) {
+    if (rb.seq < element_seq) continue;
+    std::optional<DecodedBlockRecord> rec =
+        decode_block_record(scan.payload(rb));
+    if (!rec) {
+      set_error(error, "log record " + std::to_string(rb.seq) +
                            " passed CRC but does not decode");
       return nullptr;
     }
-    total_txs += decoded[i]->block.txs.size();
-  }
-  chain->reserve_for_replay(n, total_txs);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    DecodedBlockRecord& rec = *decoded[i];
-    const chain::AcceptBlockResult result =
-        chain->replay_block(std::move(rec.block), rec.hash, std::move(rec.body),
-                            rec.undo ? &*rec.undo : nullptr);
+    const chain::AcceptBlockResult result = chain->replay_block(
+        std::move(rec->block), rec->hash, std::move(rec->body),
+        rec->undo ? &*rec->undo : nullptr);
     if (result == chain::AcceptBlockResult::kOrphan ||
         result == chain::AcceptBlockResult::kInvalid) {
-      set_error(error, "log record " + std::to_string(todo[i]->seq) +
+      set_error(error, "log record " + std::to_string(rb.seq) +
                            " failed replay (" +
                            chain::accept_block_result_name(result) + ")");
       return nullptr;
     }
-    if (store->options_.incremental_snapshots &&
-        result != chain::AcceptBlockResult::kDuplicate) {
-      store->pending_blocks_.push_back(rec.hash);
+    if (result != chain::AcceptBlockResult::kDuplicate) {
+      store->pending_blocks_.push_back(rec->hash);
     }
     ++store->recovery_.replayed_blocks;
   }
@@ -349,7 +321,7 @@ bool ChainStore::append_block(const chain::Block& block, util::ByteView body,
     return false;
   ++next_seq_;
   ++appends_since_snapshot_;
-  if (options_.incremental_snapshots) pending_blocks_.push_back(block.hash());
+  pending_blocks_.push_back(block.hash());
   if (telemetry::enabled()) {
     auto& reg = telemetry::registry();
     reg.counter("bcwan_store_appended_blocks_total",
@@ -365,7 +337,6 @@ bool ChainStore::append_block(const chain::Block& block, util::ByteView body,
 }
 
 void ChainStore::rearm_anchor(chain::Blockchain& chain) {
-  if (!options_.incremental_snapshots) return;
   chain.utxo_journal_begin();
   anchor_tip_ = chain.tip_hash();
   anchor_height_ = chain.height();
@@ -378,9 +349,7 @@ bool ChainStore::maybe_snapshot(chain::Blockchain& chain) {
       appends_since_snapshot_ < options_.snapshot_interval) {
     return false;
   }
-  if (options_.incremental_snapshots && last_element_seq_ > 0 &&
-      options_.compact_every > 0 &&
-      deltas_since_base_ < options_.compact_every) {
+  if (last_element_seq_ > 0 && deltas_since_base_ < kCompactEvery) {
     if (write_delta(chain)) return true;
     // Delta path failed — fall through to a compacting full base.
   }
@@ -388,10 +357,7 @@ bool ChainStore::maybe_snapshot(chain::Blockchain& chain) {
 }
 
 bool ChainStore::write_delta(chain::Blockchain& chain) {
-  if (!options_.incremental_snapshots || !have_anchor_ ||
-      last_element_seq_ == 0) {
-    return false;
-  }
+  if (!have_anchor_ || last_element_seq_ == 0) return false;
   // The delta streams from the chain's stored blocks into the file.
   bool collected = false;
   DeltaFileInfo info;
@@ -452,7 +418,7 @@ bool ChainStore::write_snapshot(chain::Blockchain& chain) {
   // The snapshot is durable (fsync'd file + dir), so every logged record is
   // now redundant — rotate the log rather than letting it grow forever.
   if (!log_.reset()) return false;
-  prune_snapshots(options_.dir, options_.keep_snapshots);
+  prune_snapshots(options_.dir, kKeepSnapshots);
   // Deltas at or below the oldest surviving base are folded into it; the
   // ones above it still let an older base roll forward if this one rots.
   const std::vector<SnapshotInfo> kept = list_snapshots(options_.dir);

@@ -10,7 +10,7 @@
 // Element model: the on-disk state is a chain of *elements* — a full base
 // snapshot followed by delta snapshots, each covering every log record
 // with seq below its own. Writing an element rotates the log. Every
-// `compact_every` deltas the next element is a fresh base that folds the
+// kCompactEvery deltas the next element is a fresh base that folds the
 // chain (compaction), after which superseded deltas are pruned. A delta
 // costs O(blocks changed since the previous element); only compaction pays
 // the O(UTXO set) full-dump price.
@@ -39,6 +39,11 @@
 
 namespace bcwan::store {
 
+/// Deltas written between full-base compactions.
+inline constexpr std::uint64_t kCompactEvery = 8;
+/// Base snapshots retained after a new one is written.
+inline constexpr std::size_t kKeepSnapshots = 2;
+
 struct StoreOptions {
   std::string dir;
   /// Blocks between automatic snapshot elements (maybe_snapshot).
@@ -46,22 +51,10 @@ struct StoreOptions {
   /// fsync the log after every append. Durability for daemons; benches and
   /// bulk sims turn it off and rely on the torn-tail recovery path.
   bool fsync_each_append = true;
-  /// Base snapshots retained after a new one is written.
-  std::size_t keep_snapshots = 2;
-  /// Write incremental deltas between full bases. Off = every element is a
-  /// full base (the pre-delta behavior).
-  bool incremental_snapshots = true;
-  /// Deltas written between full-base compactions. 0 = compact on every
-  /// element (deltas effectively disabled).
-  std::uint64_t compact_every = 8;
   /// Clear spent-coin undo data of active blocks buried deeper than this
   /// below the tip when an element is written; a restored chain refuses
   /// reorganizations past them. -1 keeps all undo data forever.
   int undo_prune_depth = -1;
-  /// Threads decoding log records during open() (CRC'd payload -> block +
-  /// undo + hash); application stays strictly sequential. -1 = one per
-  /// hardware thread.
-  int replay_threads = -1;
 };
 
 struct RecoveryStats {
@@ -74,7 +67,6 @@ struct RecoveryStats {
   std::uint64_t truncated_bytes = 0;  // torn tail sheared off the log
   std::uint64_t log_bytes = 0;        // log size after truncation
   double replay_seconds = 0.0;
-  unsigned decode_threads = 1;
   int tip_height = -1;
 };
 
@@ -170,8 +162,7 @@ util::Bytes encode_block_record(const chain::Block& block, util::ByteView body,
 
 /// Parse a log payload. std::nullopt on malformed bytes (CRC passed but the
 /// content does not decode — treated as unrecoverable corruption). The
-/// block hash is computed during decode so the store's parallel decoder
-/// moves that work off the sequential apply path.
+/// block hash and txids are the ones the record carries, not recomputed.
 struct DecodedBlockRecord {
   chain::Block block;
   util::Bytes body;  // the serialized block, as logged

@@ -661,7 +661,7 @@ struct DirReorgHarness {
   p2p::EventLoop loop;
   p2p::SimNet net{loop, 77};
   p2p::HostId host = net.add_host("dir-node");
-  p2p::ChainNode node{loop, net, host, params, {}, 42};
+  p2p::ChainNode node{net, host, params, {}, 42};
   chain::Wallet miner_wallet = chain::Wallet::from_seed("dir-miner");
   chain::Miner miner{params, miner_wallet.pkh()};
 
@@ -878,7 +878,7 @@ struct PersistDirHarness {
     c.store_dir = (dir / "node").string();
     return c;
   }();
-  p2p::ChainNode node{loop, net, host, params, config, 52};
+  p2p::ChainNode node{net, host, params, config, 52};
   chain::Wallet miner_wallet = chain::Wallet::from_seed("persist-dir-miner");
   chain::Miner miner{params, miner_wallet.pkh()};
 

@@ -826,45 +826,6 @@ TEST(Blockchain, BlockAtCoversActiveHeightsOnly) {
   EXPECT_EQ(h.chain.block_bytes_at(h.chain.height() + 1), nullptr);
 }
 
-TEST(ChainSnapshot, ExportImportRoundTrip) {
-  Harness h;
-  h.fund();
-  const Wallet alice = Wallet::from_seed("alice");
-  const auto tx = h.miner_wallet.create_payment(h.chain, &h.pool, alice.pkh(),
-                                                2 * kCoin, 1000);
-  ASSERT_TRUE(tx.has_value());
-  ASSERT_TRUE(h.pool.accept(*tx, h.chain.utxo(), h.chain.height() + 1).ok());
-  h.mine_block();
-
-  const Bytes snapshot = h.chain.export_chain();
-  const auto restored = Blockchain::import_chain(h.params, snapshot);
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->height(), h.chain.height());
-  EXPECT_EQ(restored->tip_hash(), h.chain.tip_hash());
-  EXPECT_EQ(restored->utxo().total_value(), h.chain.utxo().total_value());
-  // Balances survive the round trip.
-  EXPECT_EQ(alice.balance(*restored), 2 * kCoin);
-}
-
-TEST(ChainSnapshot, ImportRejectsTamperedBlock) {
-  Harness h;
-  h.fund();
-  Bytes snapshot = h.chain.export_chain();
-  // Flip a byte deep in the stream: some block's PoW/merkle breaks.
-  snapshot[snapshot.size() / 2] ^= 0xff;
-  EXPECT_FALSE(Blockchain::import_chain(h.params, snapshot).has_value());
-}
-
-TEST(ChainSnapshot, ImportRejectsGarbage) {
-  const ChainParams params = test_params();
-  EXPECT_FALSE(Blockchain::import_chain(params, Bytes{1, 2, 3}).has_value());
-  // An empty snapshot is a valid chain of height 0.
-  Blockchain fresh(params);
-  const auto restored = Blockchain::import_chain(params, fresh.export_chain());
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->height(), 0);
-}
-
 TEST(Blockchain, CopiedCoinbaseKeepsRecordedUndo) {
   // Txids are not unique by consensus: a block may carry a verbatim copy of
   // an earlier, already-spent coinbase. The undo of the block that spent

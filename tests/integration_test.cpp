@@ -291,8 +291,8 @@ TEST(GossipOrphans, ChildBeforeParentStillAccepted) {
   chain::ChainParams params;
   params.pow_zero_bits = 4;
   params.coinbase_maturity = 1;
-  p2p::ChainNode node(loop, net, net.add_host("n"), params, {}, 1);
-  p2p::ChainNode remote(loop, net, net.add_host("r"), params, {}, 2);
+  p2p::ChainNode node(net, net.add_host("n"), params, {}, 1);
+  p2p::ChainNode remote(net, net.add_host("r"), params, {}, 2);
 
   const chain::Wallet miner_wallet = chain::Wallet::from_seed("om");
   const chain::Miner miner(params, miner_wallet.pkh());

@@ -324,8 +324,8 @@ struct GossipHarness {
   explicit GossipHarness(int n, ChainNodeConfig config = {}) {
     for (int i = 0; i < n; ++i) {
       const HostId h = net.add_host("node" + std::to_string(i));
-      nodes.push_back(std::make_unique<ChainNode>(loop, net, h, params,
-                                                  config, 100 + i));
+      nodes.push_back(
+          std::make_unique<ChainNode>(net, h, params, config, 100 + i));
     }
   }
 

@@ -256,8 +256,8 @@ TEST(ReclaimRobustness, BudgetExhaustedReclaimIsAbandonedNotLeaked) {
   // included) is wiped — exactly the eviction this test needs.
   p2p::ChainNodeConfig node_config;
   node_config.store_dir = (dir.path / "node").string();
-  p2p::ChainNode node(loop, net, net.add_host("recipient"), params,
-                      node_config, 100);
+  p2p::ChainNode node(net, net.add_host("recipient"), params, node_config,
+                      100);
   const p2p::HostId gateway_host = net.add_host("gateway");
 
   chain::Wallet recipient_wallet = chain::Wallet::from_seed("reclaim-buyer");

@@ -167,6 +167,15 @@ TEST(Crc32c, StreamingMatchesOneShot) {
 
 // --- Log framing & scanning ---
 
+Bytes record_bytes(const ScanResult& scan, std::size_t i) {
+  const util::ByteView payload = scan.payload(scan.records.at(i));
+  return Bytes(payload.begin(), payload.end());
+}
+
+Bytes prefix(const Bytes& image, std::uint64_t len) {
+  return Bytes(image.begin(), image.begin() + static_cast<std::ptrdiff_t>(len));
+}
+
 Bytes build_log_image(const std::vector<Bytes>& payloads) {
   TempDir dir;
   const std::string path = (dir.path / "img.log").string();
@@ -186,8 +195,8 @@ TEST(BlockLog, ScanRoundTrip) {
   EXPECT_EQ(scan.status, ScanStatus::kOk);
   ASSERT_EQ(scan.records.size(), 3u);
   EXPECT_EQ(scan.records[0].seq, 1u);
-  EXPECT_EQ(scan.records[0].payload, util::str_bytes("alpha"));
-  EXPECT_EQ(scan.records[2].payload, Bytes{});
+  EXPECT_EQ(record_bytes(scan, 0), util::str_bytes("alpha"));
+  EXPECT_EQ(record_bytes(scan, 2), Bytes{});
   EXPECT_EQ(scan.valid_bytes, image.size());
 }
 
@@ -209,20 +218,18 @@ TEST(BlockLog, TornTailAtEveryOffset) {
   ASSERT_EQ(full.status, ScanStatus::kOk);
   ASSERT_EQ(full.records.size(), 3u);
   const std::uint64_t last_start =
-      full.valid_bytes - kRecordHeaderBytes - full.records[2].payload.size();
+      full.valid_bytes - kRecordHeaderBytes - full.records[2].len;
 
   // Truncate at every byte inside the final record: always a torn tail
   // recovering exactly the first two records, never a refusal.
   for (std::uint64_t cut = last_start + 1; cut < image.size(); ++cut) {
-    const ScanResult scan =
-        scan_log(util::ByteView(image).subspan(0, static_cast<std::size_t>(cut)));
+    const ScanResult scan = scan_log(prefix(image, cut));
     EXPECT_EQ(scan.status, ScanStatus::kTornTail) << "cut at " << cut;
     EXPECT_EQ(scan.records.size(), 2u) << "cut at " << cut;
     EXPECT_EQ(scan.valid_bytes, last_start) << "cut at " << cut;
   }
   // Truncating exactly at the record boundary is a clean two-record log.
-  const ScanResult boundary = scan_log(
-      util::ByteView(image).subspan(0, static_cast<std::size_t>(last_start)));
+  const ScanResult boundary = scan_log(prefix(image, last_start));
   EXPECT_EQ(boundary.status, ScanStatus::kOk);
   EXPECT_EQ(boundary.records.size(), 2u);
 }
@@ -265,14 +272,43 @@ TEST(BlockLog, OpenTruncatesTornTailOnDisk) {
   ASSERT_TRUE(log.open(path, scan, &error)) << error;
   EXPECT_EQ(scan.status, ScanStatus::kTornTail);
   ASSERT_EQ(scan.records.size(), 1u);
-  EXPECT_EQ(scan.records[0].payload, util::str_bytes("keep me"));
+  EXPECT_EQ(record_bytes(scan, 0), util::str_bytes("keep me"));
   // Appending after recovery continues the sequence cleanly.
   ASSERT_TRUE(log.append(2, util::str_bytes("replacement"), true));
   log.close();
   const ScanResult rescan = scan_log(read_file(path));
   EXPECT_EQ(rescan.status, ScanStatus::kOk);
   ASSERT_EQ(rescan.records.size(), 2u);
-  EXPECT_EQ(rescan.records[1].payload, util::str_bytes("replacement"));
+  EXPECT_EQ(record_bytes(rescan, 1), util::str_bytes("replacement"));
+}
+
+TEST(BlockLog, OpenRestartsTornHeader) {
+  // A crash while creating or resetting the log can leave only part of the
+  // header on disk. No record ever reached such a file: it reopens empty.
+  TempDir dir;
+  const std::string path = (dir.path / "blocks.log").string();
+  const Bytes header = build_log_image({});
+  ASSERT_EQ(header.size(), kFileHeaderBytes);
+  for (std::size_t cut = 0; cut < header.size(); ++cut) {
+    write_file(path, util::ByteView(header).subspan(0, cut));
+    BlockLog log;
+    ScanResult scan;
+    std::string error;
+    ASSERT_TRUE(log.open(path, scan, &error)) << "cut at " << cut << ": "
+                                              << error;
+    EXPECT_TRUE(scan.records.empty()) << "cut at " << cut;
+    ASSERT_TRUE(log.append(1, util::str_bytes("after"), true));
+    log.close();
+    const ScanResult rescan = scan_log(read_file(path));
+    EXPECT_EQ(rescan.status, ScanStatus::kOk) << "cut at " << cut;
+    ASSERT_EQ(rescan.records.size(), 1u) << "cut at " << cut;
+  }
+  // A short file that is not a header prefix is still foreign.
+  write_file(path, util::str_bytes("BCWANX"));
+  BlockLog log;
+  ScanResult scan;
+  EXPECT_FALSE(log.open(path, scan, nullptr));
+  EXPECT_EQ(read_file(path), util::str_bytes("BCWANX"));
 }
 
 // --- Snapshots ---
@@ -499,7 +535,7 @@ TEST(ChainStore, TornTailRecoversToPreviousBlock) {
   const ScanResult full = scan_log(image);
   ASSERT_EQ(full.records.size(), 4u);
   const std::uint64_t last_start =
-      full.valid_bytes - kRecordHeaderBytes - full.records[3].payload.size();
+      full.valid_bytes - kRecordHeaderBytes - full.records[3].len;
   h.crash();
 
   // Rip off progressively deeper torn tails: a few bytes, half the record,
@@ -529,7 +565,7 @@ TEST(ChainStore, MidFileCorruptionRefusesToOpen) {
   ASSERT_EQ(full.records.size(), 4u);
   const std::uint64_t second_payload = kFileHeaderBytes +
                                        2 * kRecordHeaderBytes +
-                                       full.records[0].payload.size() + 10;
+                                       full.records[0].len + 10;
   ASSERT_TRUE(flip_log_byte(h.log_path(), second_payload));
 
   std::string error;
@@ -542,11 +578,11 @@ TEST(ChainStore, MidFileCorruptionRefusesToOpen) {
 
 TEST(ChainStore, CorruptSnapshotFallsBackToReplay) {
   StoreHarness h;
-  h.opts.snapshot_interval = 2;
-  // Legacy full-base-only mode: this test is about base-to-base fallback.
-  h.opts.incremental_snapshots = false;
-  h.reopen();
-  h.mine_blocks(4);
+  // Two full bases back to back: this test is about base-to-base fallback.
+  h.mine_blocks(2);
+  ASSERT_TRUE(h.store->write_snapshot(*h.chain));
+  h.mine_blocks(2);
+  ASSERT_TRUE(h.store->write_snapshot(*h.chain));
   const chain::Hash256 state = h.chain->state_hash();
   h.crash();
 
@@ -650,9 +686,8 @@ TEST(ChainStore, ReplayedChainKeepsUndoForNewReorgs) {
 
 TEST(ChainStore, IncrementalReopenAppliesDeltaChain) {
   StoreHarness h;
-  h.opts.snapshot_interval = 2;
-  h.opts.compact_every = 100;  // first element is a base, everything after
-                               // stays a delta for this test
+  h.opts.snapshot_interval = 2;  // first element is a base, the next
+                                 // kCompactEvery ones deltas
   h.reopen();
   h.fund();
   h.pay(2 * chain::kCoin);
@@ -679,20 +714,22 @@ TEST(ChainStore, IncrementalReopenAppliesDeltaChain) {
 
 TEST(ChainStore, CompactionFoldsDeltasIntoBaseAndPrunes) {
   StoreHarness h;
-  h.opts.snapshot_interval = 1;
-  h.opts.compact_every = 2;  // base, delta, delta, base, delta, delta, ...
+  h.opts.snapshot_interval = 1;  // base, kCompactEvery deltas, base, ...
   h.reopen();
-  h.mine_blocks(7);
-  // Block 7 wrote the third base: the delta counter restarts and the fold
-  // itself was timed.
+  const int cycle = static_cast<int>(kCompactEvery) + 1;
+  h.mine_blocks(2 * cycle);
+  EXPECT_EQ(h.store->deltas_since_base(), kCompactEvery);
+  h.mine_block();
+  // The last block wrote the third base: the delta counter restarts and
+  // the fold itself was timed.
   EXPECT_EQ(h.store->deltas_since_base(), 0u);
   EXPECT_GT(h.store->last_compaction_ms(), 0.0);
 
-  // keep_snapshots bases survive; deltas at or below the OLDEST kept base
+  // kKeepSnapshots bases survive; deltas at or below the OLDEST kept base
   // are spent (folded) and pruned. Deltas above it stay: they are the
   // fallback chain if the newest base turns out corrupt.
   const auto bases = list_snapshots(h.dir.str());
-  ASSERT_EQ(bases.size(), h.opts.keep_snapshots);
+  ASSERT_EQ(bases.size(), kKeepSnapshots);
   const std::uint64_t oldest_kept = bases.back().seq;
   for (const auto& delta : list_delta_files(h.dir.str())) {
     EXPECT_GT(delta.seq, oldest_kept) << delta.path;
@@ -710,16 +747,17 @@ TEST(ChainStore, CompactionFoldsDeltasIntoBaseAndPrunes) {
 TEST(ChainStore, CorruptBaseFallsBackToOlderBasePlusDeltas) {
   StoreHarness h;
   h.opts.snapshot_interval = 1;
-  h.opts.compact_every = 2;
   h.reopen();
-  h.mine_blocks(6);  // elements: base, delta, delta, base, delta, delta
-  const chain::Hash256 state6 = h.chain->state_hash();
-  h.mine_block();  // 7th element: a compacting base covering everything
+  // Elements: base, kCompactEvery deltas, base, kCompactEvery deltas.
+  const int before_fold = 2 * (static_cast<int>(kCompactEvery) + 1);
+  h.mine_blocks(before_fold);
+  const chain::Hash256 state_before = h.chain->state_hash();
+  h.mine_block();  // next element: a compacting base covering everything
   h.crash();
 
   // Corrupt the newest base: recovery must fall back to the previous base
   // plus the delta chain on top of it. The log was rotated at the newest
-  // element, so the fallback recovers the pre-compaction state (height 6).
+  // element, so the fallback recovers the pre-compaction state.
   const auto bases = list_snapshots(h.dir.str());
   ASSERT_GE(bases.size(), 2u);
   Bytes raw = read_file(bases.front().path);
@@ -730,16 +768,15 @@ TEST(ChainStore, CorruptBaseFallsBackToOlderBasePlusDeltas) {
   auto store = ChainStore::open(h.params, h.opts, &error);
   ASSERT_NE(store, nullptr) << error;
   EXPECT_EQ(store->recovery().snapshots_skipped, 1u);
-  EXPECT_EQ(store->recovery().deltas_applied, 2u);
+  EXPECT_EQ(store->recovery().deltas_applied, kCompactEvery);
   Blockchain chain = store->take_chain();
-  EXPECT_EQ(chain.height(), 6);
-  EXPECT_EQ(chain.state_hash(), state6);
+  EXPECT_EQ(chain.height(), before_fold);
+  EXPECT_EQ(chain.state_hash(), state_before);
 }
 
 TEST(ChainStore, TornDeltaAtEveryOffsetFallsBackToBase) {
   StoreHarness h;
   h.opts.snapshot_interval = 2;
-  h.opts.compact_every = 100;
   h.reopen();
   h.mine_blocks(2);  // element 1: full base covering height 2
   const chain::Hash256 base_state = h.chain->state_hash();
@@ -781,7 +818,6 @@ TEST(ChainStore, TornDeltaAtEveryOffsetFallsBackToBase) {
 TEST(ChainStore, DeltaAcrossReorgReopens) {
   StoreHarness h;
   h.opts.snapshot_interval = 2;
-  h.opts.compact_every = 100;
   h.reopen();
   h.fund();
   h.pay(3 * chain::kCoin);  // height 4: element boundary right at the block
@@ -840,7 +876,6 @@ TEST(ChainStore, StreamedElementsEqualBufferedEncodings) {
   for (const int prune_depth : {-1, 1}) {
     SCOPED_TRACE(prune_depth);
     StoreHarness h;
-    h.opts.compact_every = 100;
     h.opts.undo_prune_depth = prune_depth;
     h.reopen();
     std::vector<chain::Hash256> pending;
@@ -919,7 +954,6 @@ TEST(ChainStore, ElementAndLogEncodingsPinned) {
   // digest. (Blocks are stored serialized in memory; the files must stay
   // exactly what the Block-object store wrote.)
   StoreHarness h;
-  h.opts.compact_every = 100;
   h.reopen();
   h.fund();
   h.pay(2 * chain::kCoin);
@@ -1015,78 +1049,6 @@ TEST(ChainStore, UndoPruneRefusesReorgPastPrunedBlocks) {
   // The chain itself still extends normally.
   h.mine_block();
   EXPECT_EQ(h.chain->height(), 9);
-}
-
-TEST(ChainStore, ParallelReplayMatchesSerial) {
-  StoreHarness h;  // default interval: no snapshots, replay is the whole log
-  h.mine_blocks(70);  // above the parallel-decode threshold (64 records)
-  const chain::Hash256 state = h.chain->state_hash();
-  const int height = h.chain->height();
-  h.crash();
-
-  StoreOptions serial = h.opts;
-  serial.replay_threads = 1;
-  std::string error;
-  auto store1 = ChainStore::open(h.params, serial, &error);
-  ASSERT_NE(store1, nullptr) << error;
-  EXPECT_EQ(store1->recovery().decode_threads, 1u);
-  Blockchain chain1 = store1->take_chain();
-
-  StoreOptions parallel = h.opts;
-  parallel.replay_threads = 4;
-  auto store4 = ChainStore::open(h.params, parallel, &error);
-  ASSERT_NE(store4, nullptr) << error;
-  EXPECT_EQ(store4->recovery().decode_threads, 4u);
-  Blockchain chain4 = store4->take_chain();
-
-  EXPECT_EQ(chain1.height(), height);
-  EXPECT_EQ(chain4.height(), height);
-  EXPECT_EQ(chain1.state_hash(), state);
-  EXPECT_EQ(chain4.state_hash(), state);
-  EXPECT_EQ(chain1.active_chain(), chain4.active_chain());
-}
-
-TEST(ChainStore, LegacyKind1RecordReplays) {
-  StoreHarness h;
-  h.mine_blocks(3);
-  const std::uint64_t next = h.store->next_seq();
-
-  // Mine block 4 on an in-memory twin so its record never reaches the log
-  // through the modern kind-2 encoder.
-  Blockchain twin(h.params);
-  for (int bh = 1; bh <= 3; ++bh) {
-    ASSERT_EQ(twin.accept_block(*h.chain->block_at(bh)),
-              AcceptBlockResult::kConnected);
-  }
-  Mempool twin_pool(h.params);
-  Miner twin_miner(h.params, Wallet::from_seed("legacy").pkh());
-  const Block b4 = twin_miner.mine(twin, twin_pool, 500);
-  ASSERT_EQ(twin.accept_block(b4), AcceptBlockResult::kConnected);
-  const auto undo = twin.undo_for(b4.hash());
-  ASSERT_TRUE(undo.has_value());
-  h.crash();
-
-  // Hand-craft the legacy kind-1 payload (no stored hash or txids: replay
-  // recomputes them) and append it to the live log.
-  util::Writer w;
-  w.u8(1);  // record kind 1
-  w.u8(1);  // has_undo
-  w.var_bytes(b4.serialize());
-  chain::write_undo(w, *undo);
-  {
-    BlockLog log;
-    ScanResult scan;
-    ASSERT_TRUE(log.open(h.log_path(), scan, nullptr));
-    ASSERT_EQ(scan.status, ScanStatus::kOk);
-    ASSERT_TRUE(log.append(next, w.data(), true));
-    log.close();
-  }
-
-  h.open();
-  EXPECT_EQ(h.chain->height(), 4);
-  EXPECT_EQ(h.chain->tip_hash(), b4.hash());
-  EXPECT_EQ(h.chain->state_hash(), twin.state_hash());
-  EXPECT_EQ(h.store->recovery().replayed_blocks, 4u);
 }
 
 // --- Blockchain state serialization ---
@@ -1241,10 +1203,9 @@ struct NodeHarness {
     p2p::ChainNodeConfig persistent;
     persistent.store_dir = (dir.path / "node0").string();
     nodes.push_back(std::make_unique<p2p::ChainNode>(
-        loop, net, net.add_host("node0"), params, persistent, 100));
+        net, net.add_host("node0"), params, persistent, 100));
     nodes.push_back(std::make_unique<p2p::ChainNode>(
-        loop, net, net.add_host("node1"), params, p2p::ChainNodeConfig{},
-        101));
+        net, net.add_host("node1"), params, p2p::ChainNodeConfig{}, 101));
   }
 
   void mine_on(int i) {

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "telemetry/exporters.hpp"
-#include "telemetry/flusher.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 
@@ -356,26 +355,6 @@ TEST_F(TelemetryTest, CollectorsRunAtExport) {
   const int before = runs.load();
   (void)render_prometheus();
   EXPECT_EQ(runs.load(), before);
-}
-
-TEST_F(TelemetryTest, FlusherWritesSnapshots) {
-  registry().counter("bcwan_test_flusher_total").add(1);
-  Flusher::Options options;
-  options.interval = std::chrono::milliseconds(10000);  // rely on flush_now
-  options.json_path = "telemetry_test_flush.json";
-  options.prom_path = "telemetry_test_flush.prom";
-  {
-    Flusher flusher(options);
-    flusher.flush_now();
-    EXPECT_GE(flusher.flushes(), 1u);
-  }  // dtor: final flush + join
-  for (const char* path :
-       {"telemetry_test_flush.json", "telemetry_test_flush.prom"}) {
-    std::FILE* f = std::fopen(path, "r");
-    ASSERT_NE(f, nullptr) << path;
-    std::fclose(f);
-    std::remove(path);
-  }
 }
 
 TEST_F(TelemetryTest, ResetAllZeroesValuesKeepsRegistrations) {
