@@ -212,11 +212,7 @@ int main() {
     options.fsync_each_append = false;
     auto st = store::ChainStore::open(factory.params, options);
     chain::Blockchain chain = st->take_chain();
-    chain.set_block_sink(
-        [&st](const chain::Block& b, util::ByteView body,
-              const util::Bytes* u) {
-          st->append_block(b, body, u);
-        });
+    st->attach(chain);
     for (int i = 0; i < premine; ++i)
       chain.accept_block(blocks[static_cast<std::size_t>(i)]);
     st->write_snapshot(chain);  // base element; arms the journal anchor

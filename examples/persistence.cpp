@@ -28,7 +28,9 @@
 //                         the log tail, restart until a run exits clean,
 //                         and require the recovered tip + state hash to
 //                         equal the uninterrupted run's and at least one
-//                         compaction on disk. Any failure exits 1.
+//                         compaction on disk. After every recovery each
+//                         active block's body and undo must read back from
+//                         disk matching its hash / CRC. Any failure exits 1.
 //
 // Store knobs (read by run/status): BCWAN_PERSIST_UNDO_DEPTH=<n>,
 // BCWAN_PERSIST_SNAPSHOT_INTERVAL=<n>.
@@ -41,6 +43,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 
 #include "chain/miner.hpp"
@@ -101,6 +104,26 @@ void mine_to(chain::Blockchain& chain, store::ChainStore* store, int target,
                   util::to_hex(chain.tip_hash()).c_str());
       std::fflush(stdout);
     }
+  }
+}
+
+/// Every active block's body and undo read back from the store's files:
+/// the chain checks each body against its hash and each undo against its
+/// CRC-32C, and throws on a mismatch.
+bool records_read_back(const chain::Blockchain& chain) {
+  try {
+    for (int h = 0; h <= chain.height(); ++h) {
+      const chain::Hash256& hash =
+          chain.active_chain()[static_cast<std::size_t>(h)];
+      if (!chain.block_bytes_at(h) || !chain.undo_for(hash)) {
+        std::fprintf(stderr, "stored records of height %d missing\n", h);
+        return false;
+      }
+    }
+    return true;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "stored records do not read back: %s\n", e.what());
+    return false;
   }
 }
 
@@ -169,11 +192,8 @@ int usage() {
     _exit(2);
   }
   chain::Blockchain chain = store->take_chain();
-  chain.set_block_sink(
-      [&store](const chain::Block& b, util::ByteView body,
-               const util::Bytes* u) {
-        store->append_block(b, body, u);
-      });
+  if (!records_read_back(chain)) _exit(4);
+  store->attach(chain);
   mine_to(chain, store.get(), target, /*throttle_ms=*/1);
   _exit(0);
 }
@@ -263,6 +283,11 @@ int run_matrix(const std::string& dir, int height, int trials,
       return 1;
     }
     const chain::Blockchain recovered = store->take_chain();
+    if (!records_read_back(recovered)) {
+      std::fprintf(stderr, "matrix trial %d: records do not read back\n",
+                   trial);
+      return 1;
+    }
     const std::string tip = util::to_hex(recovered.tip_hash());
     const std::string state = util::to_hex(recovered.state_hash());
     if (recovered.height() != height || tip != expected_tip ||
@@ -308,10 +333,8 @@ int main(int argc, char** argv) {
   if (cmd == "run" && (argc == 4 || argc == 5)) {
     auto store = open_or_die(options_from_env(argv[2]));
     chain::Blockchain chain = store->take_chain();
-    chain.set_block_sink([&store](const chain::Block& b, util::ByteView body,
-                                  const util::Bytes* u) {
-      store->append_block(b, body, u);
-    });
+    if (!records_read_back(chain)) return 2;
+    store->attach(chain);
     mine_to(chain, store.get(), std::atoi(argv[3]),
             argc == 5 ? std::atoi(argv[4]) : 0);
     print_tip(chain);
@@ -320,8 +343,9 @@ int main(int argc, char** argv) {
 
   if (cmd == "status" && argc == 3) {
     auto store = open_or_die(options_from_env(argv[2]));
-    print_tip(store->take_chain());
-    return 0;
+    const chain::Blockchain chain = store->take_chain();
+    print_tip(chain);
+    return records_read_back(chain) ? 0 : 2;
   }
 
   if (cmd == "matrix" && argc == 6) {

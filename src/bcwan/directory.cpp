@@ -10,7 +10,7 @@
 #include <system_error>
 #include <utility>
 
-#include "store/crc32c.hpp"
+#include "util/crc32c.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/serial.hpp"
 
@@ -330,7 +330,7 @@ bool Directory::persist() const {
       reinterpret_cast<const std::uint8_t*>(kIndexMagic), sizeof(kIndexMagic)));
   header.u32(kIndexFileVersion);
   header.u32(static_cast<std::uint32_t>(payload.data().size()));
-  header.u32(store::crc32c(payload.data()));
+  header.u32(util::crc32c(payload.data()));
 
   const fs::path final_path(options_.persist_path);
   const fs::path tmp_path = final_path.string() + ".tmp";
@@ -385,7 +385,7 @@ bool Directory::try_load() {
     const std::uint32_t crc = r.u32();
     const util::ByteView payload = r.view(len);
     r.expect_done();
-    if (store::crc32c(payload) != crc) return false;
+    if (util::crc32c(payload) != crc) return false;
 
     util::Reader p(payload);
     const int stored_tip = static_cast<int>(p.u32());

@@ -63,6 +63,18 @@ std::optional<Block> Block::deserialize(util::ByteView data,
   }
 }
 
+std::optional<Hash256> block_hash_of(util::ByteView body) {
+  try {
+    util::Reader r(body);
+    r.view(4 + 32 + 32 + 8 + 4 + 4);
+    r.var_view();  // proposer_pubkey
+    r.var_view();  // pos_signature
+    return crypto::sha256d(body.first(body.size() - r.remaining()));
+  } catch (const util::DeserializeError&) {
+    return std::nullopt;
+  }
+}
+
 namespace {
 
 /// Below this many pairs a level is hashed on the calling thread; pool

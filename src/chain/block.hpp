@@ -44,6 +44,10 @@ struct Block {
   friend bool operator==(const Block&, const Block&) = default;
 };
 
+/// Hash of a serialized block, taken over its header bytes without
+/// decoding the transactions. std::nullopt when the header is truncated.
+std::optional<Hash256> block_hash_of(util::ByteView body);
+
 /// Merkle root over txids (Bitcoin's duplicate-last-on-odd-level scheme).
 /// Empty input yields the zero hash.
 ///

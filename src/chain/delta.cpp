@@ -42,9 +42,12 @@ void write_head(util::Writer& w, std::uint64_t parent_seq,
   w.varint(new_blocks);
 }
 
-void write_new_block(util::Writer& w, util::ByteView body, int height) {
-  w.var_bytes(body);
+PayloadRange write_new_block(util::Writer& w, util::ByteView body,
+                             int height) {
+  const PayloadRange range{w.var_bytes(body),
+                           static_cast<std::uint32_t>(body.size())};
   w.u32(static_cast<std::uint32_t>(height));
+  return range;
 }
 
 void write_edit_head(util::Writer& w, std::uint32_t pop, std::size_t pushes) {
@@ -52,9 +55,11 @@ void write_edit_head(util::Writer& w, std::uint32_t pop, std::size_t pushes) {
   w.varint(pushes);
 }
 
-void write_push(util::Writer& w, const Hash256& hash, util::ByteView undo) {
+PayloadRange write_push(util::Writer& w, const Hash256& hash,
+                        util::ByteView undo) {
   write_hash(w, hash);
-  w.var_bytes(undo);
+  return PayloadRange{w.var_bytes(undo),
+                      static_cast<std::uint32_t>(undo.size())};
 }
 
 void write_tail(util::Writer& w, const std::vector<OutPoint>& spent,
@@ -100,11 +105,19 @@ std::optional<StateDelta> decode_state_delta(util::ByteView data) {
     d.next_seq = r.u64();
     const std::uint64_t block_count = r.varint();
     d.new_blocks.reserve(static_cast<std::size_t>(block_count));
+    // Where a view taken from `data` sits in it.
+    const auto range_of = [&data](util::ByteView bytes) {
+      return PayloadRange{
+          static_cast<std::uint64_t>(bytes.data() - data.data()),
+          static_cast<std::uint32_t>(bytes.size())};
+    };
     for (std::uint64_t i = 0; i < block_count; ++i) {
-      auto block = Block::deserialize(r.var_view());
+      const util::ByteView body = r.var_view();
+      auto block = Block::deserialize(body);
       if (!block) return std::nullopt;
       StateDelta::NewBlock nb;
       nb.block = *std::move(block);
+      nb.body_at = range_of(body);
       nb.height = static_cast<int>(r.u32());
       d.new_blocks.push_back(std::move(nb));
     }
@@ -114,8 +127,10 @@ std::optional<StateDelta> decode_state_delta(util::ByteView data) {
     for (std::uint64_t i = 0; i < push_count; ++i) {
       StateDelta::PushedBlock p;
       p.hash = read_hash(r);
-      util::Reader undo_r(r.var_view());
+      const util::ByteView undo = r.var_view();
+      util::Reader undo_r(undo);
       p.undo = read_undo(undo_r);
+      p.undo_at = range_of(undo);
       undo_r.expect_done();
       d.push.push_back(std::move(p));
     }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "chain/block.hpp"
+#include "chain/block_files.hpp"
 #include "chain/utxo.hpp"
 #include "chain/validation.hpp"
 
@@ -32,6 +33,7 @@ struct StateDelta {
   struct NewBlock {
     Block block;
     int height = 0;
+    PayloadRange body_at;  // where decode_state_delta read the body
   };
   std::vector<NewBlock> new_blocks;
 
@@ -42,6 +44,7 @@ struct StateDelta {
   struct PushedBlock {
     Hash256 hash{};
     BlockUndo undo;
+    PayloadRange undo_at;  // where decode_state_delta read the undo
   };
   std::vector<PushedBlock> push;
 
@@ -60,21 +63,25 @@ util::Bytes encode_state_delta(const StateDelta& delta);
 /// new-block record per new block, the chain-edit head, one push record per
 /// pushed block, then the tail. encode_state_delta is exactly these calls;
 /// Blockchain::write_state_delta makes them straight from its stored blocks
-/// so a delta streams to disk without being materialized.
+/// so a delta streams to disk without being materialized. The record
+/// writers return where the body or undo bytes landed in the payload.
 namespace delta_wire {
 void write_head(util::Writer& w, std::uint64_t parent_seq,
                 std::uint64_t next_seq, std::size_t new_blocks);
-void write_new_block(util::Writer& w, util::ByteView body, int height);
+PayloadRange write_new_block(util::Writer& w, util::ByteView body,
+                             int height);
 void write_edit_head(util::Writer& w, std::uint32_t pop, std::size_t pushes);
 /// `undo` is the write_undo() encoding.
-void write_push(util::Writer& w, const Hash256& hash, util::ByteView undo);
+PayloadRange write_push(util::Writer& w, const Hash256& hash,
+                        util::ByteView undo);
 void write_tail(util::Writer& w, const std::vector<OutPoint>& spent,
                 const std::vector<std::pair<OutPoint, Coin>>& added,
                 int tip_height, const Hash256& tip_hash);
 }  // namespace delta_wire
 
 /// std::nullopt on malformed bytes (version mismatch, truncation, trailing
-/// garbage). CRC integrity is the store framing's job.
+/// garbage). CRC integrity is the store framing's job. Records where each
+/// new body and pushed undo sits in `data` (body_at / undo_at).
 std::optional<StateDelta> decode_state_delta(util::ByteView data);
 
 }  // namespace bcwan::chain

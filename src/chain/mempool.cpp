@@ -198,11 +198,4 @@ void Mempool::remove_confirmed(const Block& block) {
   }
 }
 
-std::vector<Transaction> Mempool::snapshot() const {
-  std::vector<Transaction> out;
-  out.reserve(txs_.size());
-  for (const auto& [id, entry] : txs_) out.push_back(entry.tx);
-  return out;
-}
-
 }  // namespace bcwan::chain

@@ -66,9 +66,6 @@ class Mempool {
     next_sequence_ = 0;
   }
 
-  /// All transactions (observers/watchers iterate the pool).
-  std::vector<Transaction> snapshot() const;
-
   /// Visit every pooled transaction in place — no copies. The callback must
   /// not mutate the pool.
   template <typename Fn>

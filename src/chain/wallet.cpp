@@ -47,7 +47,7 @@ std::vector<std::pair<OutPoint, Coin>> Wallet::spendable(
   // Own unconfirmed outputs (change waiting in the mempool) are spendable
   // too — otherwise a wallet with one UTXO deadlocks on concurrent offers.
   if (pool != nullptr) {
-    for (const Transaction& tx : pool->snapshot()) {
+    pool->for_each([&](const Transaction& tx) {
       const Hash256 txid = tx.txid();
       for (std::uint32_t v = 0; v < tx.vout.size(); ++v) {
         if (!(tx.vout[v].script_pubkey == own_script_)) continue;
@@ -55,12 +55,17 @@ std::vector<std::pair<OutPoint, Coin>> Wallet::spendable(
         if (pool->spends(op)) continue;
         coins.emplace_back(op, Coin{tx.vout[v], chain.height() + 1, false});
       }
-    }
+    });
   }
+  // Largest first; equal values by outpoint, so the choice never follows
+  // hash-map order (which differs between a chain rebuilt from a delta
+  // and one built by live connects).
   std::sort(coins.begin(), coins.end(),
             [](const auto& a, const auto& b) {
               if (a.second.out.value != b.second.out.value)
                 return a.second.out.value > b.second.out.value;
+              if (a.first.txid != b.first.txid)
+                return a.first.txid < b.first.txid;
               return a.first.index < b.first.index;
             });
   return coins;

@@ -4,7 +4,7 @@
 #include <cstring>
 #include <string>
 
-#include "store/crc32c.hpp"
+#include "util/crc32c.hpp"
 #include "util/serial.hpp"
 
 namespace bcwan::p2p {
@@ -32,10 +32,10 @@ util::Bytes encode_frame(const Message& msg, HostId from) {
   w.u16(static_cast<std::uint16_t>(type.size()));
   w.u32(static_cast<std::uint32_t>(msg.payload.size()));
   w.u32(static_cast<std::uint32_t>(from));
-  std::uint32_t crc = store::crc32c_extend(
+  std::uint32_t crc = util::crc32c_extend(
       0, util::ByteView(reinterpret_cast<const std::uint8_t*>(type.data()),
                         type.size()));
-  crc = store::crc32c_extend(crc, msg.payload);
+  crc = util::crc32c_extend(crc, msg.payload);
   w.u32(crc);
   w.bytes(util::ByteView(reinterpret_cast<const std::uint8_t*>(type.data()),
                          type.size()));
@@ -89,7 +89,7 @@ std::optional<Message> FrameDecoder::next() {
       read_u32(h + 12)));
   const std::uint32_t want_crc = read_u32(h + 16);
   const std::uint8_t* body = h + kFrameHeaderSize;
-  if (store::crc32c(util::ByteView(body, body_len)) != want_crc) {
+  if (util::crc32c(util::ByteView(body, body_len)) != want_crc) {
     error_ = FrameError::kBadChecksum;
     return std::nullopt;
   }

@@ -8,7 +8,7 @@
 #include <system_error>
 #include <utility>
 
-#include "store/crc32c.hpp"
+#include "util/crc32c.hpp"
 #include "util/serial.hpp"
 
 namespace bcwan::store {
@@ -29,7 +29,7 @@ std::uint64_t load_u64(const std::uint8_t* p) {
 std::uint32_t record_crc(std::uint64_t seq, util::ByteView payload) {
   util::Writer w;
   w.u64(seq);
-  return crc32c_extend(crc32c(w.data()), payload);
+  return util::crc32c_extend(util::crc32c(w.data()), payload);
 }
 
 /// Try to parse a record at `offset`; fills `rec` and `next` on success.

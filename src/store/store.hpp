@@ -5,7 +5,14 @@
 // truncates a torn log tail, replays the remaining records through the
 // trusted Blockchain::replay_block() path and hands back a fully recovered
 // chain. The owning node then wires the store in as the chain's block sink
-// so every accepted block is logged before its orphan descendants connect.
+// (attach) so every accepted block is logged before its orphan descendants
+// connect.
+//
+// The chain keeps no block bodies or undo in memory: its records point into
+// the files written here (chain/block_files.hpp). A block appended to the
+// log points at its log record; an element write copies the records it
+// carries and moves them to the new file before the log is rotated, so the
+// newest element and the log hold every record a chain can read.
 //
 // Element model: the on-disk state is a chain of *elements* — a full base
 // snapshot followed by delta snapshots, each covering every log record
@@ -80,9 +87,13 @@ class ChainStore {
                                           std::string* error = nullptr);
 
   /// The recovered chain, moved out exactly once. The caller must then
-  /// re-attach the store: chain.set_block_sink([&store](b, body, u) {
-  /// store.append_block(b, body, u); }).
+  /// re-attach the store with attach().
   chain::Blockchain take_chain();
+
+  /// Install append_block as `chain`'s block sink. `chain` must be the one
+  /// take_chain() returned: the placements it gets back name this store's
+  /// log in that chain's files().
+  void attach(chain::Blockchain& chain);
 
   const RecoveryStats& recovery() const noexcept { return recovery_; }
   const StoreOptions& options() const noexcept { return options_; }
@@ -103,9 +114,11 @@ class ChainStore {
 
   /// Block-sink entry point: append one accepted block (undo present iff it
   /// connected directly at the tip) to the log. `body` and `undo` (the
-  /// write_undo encoding) are logged as they are.
-  bool append_block(const chain::Block& block, util::ByteView body,
-                    const util::Bytes* undo);
+  /// write_undo encoding) are logged as they are. Returns where they landed
+  /// in the log, or std::nullopt when the append failed.
+  std::optional<chain::BlockPlacement> append_block(const chain::Block& block,
+                                                    util::ByteView body,
+                                                    const util::Bytes* undo);
 
   /// Write an element if `snapshot_interval` blocks were appended since the
   /// last one: a delta while the chain since the last base is short, a
@@ -132,8 +145,16 @@ class ChainStore {
   /// journal window, anchor at the current tip, empty pending list.
   void rearm_anchor(chain::Blockchain& chain);
 
+  /// Point the records an element write copied at the published element
+  /// (`payload_offset` past its header), prune undo to the configured
+  /// depth, then rotate the log: nothing may still point into it.
+  bool retire_log(chain::Blockchain& chain, const std::string& element_path,
+                  std::uint64_t payload_offset,
+                  const std::vector<chain::Relocation>& moved);
+
   StoreOptions options_;
   BlockLog log_;
+  std::uint32_t log_file_ = 0;  // the log's id in the chain's files()
   std::optional<chain::Blockchain> chain_;  // until take_chain()
   RecoveryStats recovery_;
   std::uint64_t next_seq_ = 1;
@@ -153,22 +174,5 @@ class ChainStore {
 /// Path of the block log inside a store directory (chaos hooks shear its
 /// tail while the owning node is down).
 std::string log_file_path(const std::string& dir);
-
-/// Serialize one log payload: kind | has_undo | hash | body | txids | undo.
-/// `body` is block.serialize() and `undo` the write_undo() encoding, passed
-/// in so the chain's stored bytes are logged without re-serializing.
-util::Bytes encode_block_record(const chain::Block& block, util::ByteView body,
-                                const util::Bytes* undo);
-
-/// Parse a log payload. std::nullopt on malformed bytes (CRC passed but the
-/// content does not decode — treated as unrecoverable corruption). The
-/// block hash and txids are the ones the record carries, not recomputed.
-struct DecodedBlockRecord {
-  chain::Block block;
-  util::Bytes body;  // the serialized block, as logged
-  chain::Hash256 hash{};
-  std::optional<chain::LoggedUndo> undo;
-};
-std::optional<DecodedBlockRecord> decode_block_record(util::ByteView payload);
 
 }  // namespace bcwan::store

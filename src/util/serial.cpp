@@ -32,9 +32,11 @@ void Writer::varint(std::uint64_t v) {
   }
 }
 
-void Writer::var_bytes(ByteView b) {
+std::uint64_t Writer::var_bytes(ByteView b) {
   varint(b.size());
+  const std::uint64_t at = position();
   bytes(b);
+  return at;
 }
 
 void Reader::need(std::size_t n) const {

@@ -47,11 +47,15 @@ class Writer {
       out_.reserve(std::max(need, out_.size() + out_.size() / 2));
     out_.insert(out_.end(), b.begin(), b.end());
   }
-  /// varint length prefix + raw bytes.
-  void var_bytes(ByteView b);
+  /// varint length prefix + raw bytes; returns the position() the raw
+  /// bytes landed at.
+  std::uint64_t var_bytes(ByteView b);
 
   const Bytes& data() const noexcept { return out_; }
   Bytes take() noexcept { return std::move(out_); }
+  /// Bytes written so far, drained ones included: the offset the next
+  /// write lands at within the whole encoding.
+  std::uint64_t position() const noexcept { return drained_ + out_.size(); }
 
   /// Stream the encoding out in pieces: from now on every boundary() call
   /// with at least `chunk` bytes buffered hands them to `drain` and empties
@@ -70,6 +74,7 @@ class Writer {
   void flush() {
     if (!drain_ || out_.empty()) return;
     drain_(out_);
+    drained_ += out_.size();
     out_.clear();
   }
 
@@ -77,6 +82,7 @@ class Writer {
   Bytes out_;
   std::function<void(ByteView)> drain_;
   std::size_t drain_at_ = 0;
+  std::uint64_t drained_ = 0;
 };
 
 /// Bounds-checked binary reader over a borrowed buffer.

@@ -274,6 +274,7 @@ TEST_F(FairExchangeApi, UndoForMatchesLoggedUndo) {
   bc.set_block_sink([&logged](const chain::Block& b, util::ByteView,
                               const Bytes* undo) {
     if (undo != nullptr) logged[b.hash()] = *undo;
+    return std::optional<chain::BlockPlacement>{};
   });
   const crypto::RsaKeyPair ephemeral = crypto::rsa_generate(rng, 512);
   FairExchangeSeller seller(seller_wallet, ephemeral);

@@ -64,7 +64,7 @@ TEST(Scenario, GoldenChainTipPinned) {
   scenario.run_exchanges(4, 20 * util::kMinute);
   const auto& chain = scenario.master_node().chain();
   EXPECT_EQ(util::to_hex(chain.tip_hash()),
-            "0000fa767307a60e10b2078a5a52d6a72a2dd34557d38f6351cfdcc90c256239");
+            "000743b9e443bbb266eb4598d329e138a11ba42d65fc8e90985063ea06e84aa5");
   EXPECT_EQ(chain.height(), 18);
   EXPECT_EQ(scenario.exchanges_completed(), 4u);
 }
