@@ -19,6 +19,7 @@
 #include "chain/miner.hpp"
 #include "chain/wallet.hpp"
 #include "p2p/chain_node.hpp"
+#include "p2p/confirmations.hpp"
 #include "p2p/network.hpp"
 #include "util/stats.hpp"
 
@@ -86,15 +87,13 @@ AttackOutcome run_attack(int confirmations_required, std::uint64_t seed) {
   std::optional<chain::OutPoint> offer_outpoint;
   std::optional<chain::TxOut> offer_out;
   std::optional<chain::Hash256> offer_txid;
+  p2p::TxConfirmations confirmed(*lab.gateway_node);
   bool redeemed = false;
   auto try_redeem = [&] {
     if (redeemed || !offer_outpoint) return;
     if (confirmations_required > 0) {
-      int confs = 0;
-      if (!lab.gateway_node->chain().tx_confirmations(*offer_txid, confs) ||
-          confs < confirmations_required) {
-        return;
-      }
+      const std::optional<int> confs = confirmed.confirmations(*offer_txid);
+      if (!confs || *confs < confirmations_required) return;
     }
     const chain::Transaction redeem = lab.gateway.create_redeem(
         *offer_outpoint, *offer_out, ephemeral.priv, 500);
@@ -110,6 +109,7 @@ AttackOutcome run_attack(int confirmations_required, std::uint64_t seed) {
         offer_outpoint = chain::OutPoint{txid, v};
         offer_out = tx.vout[v];
         offer_txid = txid;
+        confirmed.watch(txid);
         if (confirmations_required == 0) try_redeem();
       }
     }
@@ -163,16 +163,14 @@ double honest_latency(int confirmations_required, std::uint64_t seed) {
   std::optional<chain::OutPoint> offer_outpoint;
   std::optional<chain::TxOut> offer_out;
   std::optional<chain::Hash256> offer_txid;
+  p2p::TxConfirmations confirmed(*lab.gateway_node);
   bool redeemed = false;
   util::SimTime redeem_time = 0;
   auto try_redeem = [&] {
     if (redeemed || !offer_outpoint) return;
     if (confirmations_required > 0) {
-      int confs = 0;
-      if (!lab.gateway_node->chain().tx_confirmations(*offer_txid, confs) ||
-          confs < confirmations_required) {
-        return;
-      }
+      const std::optional<int> confs = confirmed.confirmations(*offer_txid);
+      if (!confs || *confs < confirmations_required) return;
     }
     const chain::Transaction redeem = lab.gateway.create_redeem(
         *offer_outpoint, *offer_out, ephemeral.priv, 500);
@@ -189,6 +187,7 @@ double honest_latency(int confirmations_required, std::uint64_t seed) {
         offer_outpoint = chain::OutPoint{txid, v};
         offer_out = tx.vout[v];
         offer_txid = txid;
+        confirmed.watch(txid);
         if (confirmations_required == 0) try_redeem();
       }
     }

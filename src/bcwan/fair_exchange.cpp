@@ -1,12 +1,28 @@
 #include "bcwan/fair_exchange.hpp"
 
+#include <algorithm>
+
 namespace bcwan::core {
+
+FairExchangeSeller::FairExchangeSeller(const chain::Wallet& wallet,
+                                       crypto::RsaKeyPair ephemeral)
+    : wallet_(wallet),
+      ephemeral_(std::move(ephemeral)),
+      offer_prefix_(script::Script().push(ephemeral_.pub.serialize()).bytes()) {}
 
 std::optional<chain::Transaction> FairExchangeSeller::try_redeem(
     const chain::Transaction& candidate_offer, chain::Amount fee) {
   if (state_ != State::kAwaitingOffer) return std::nullopt;
-  const chain::Hash256 txid = candidate_offer.txid();
   for (std::uint32_t v = 0; v < candidate_offer.vout.size(); ++v) {
+    // Every open sale sees every transaction: a byte compare rules out
+    // other sales' offers before the script decode and key parse.
+    const util::Bytes& program =
+        candidate_offer.vout[v].script_pubkey.bytes();
+    if (program.size() < offer_prefix_.size() ||
+        !std::equal(offer_prefix_.begin(), offer_prefix_.end(),
+                    program.begin())) {
+      continue;
+    }
     const auto classified =
         script::classify(candidate_offer.vout[v].script_pubkey);
     if (classified.type != script::ScriptType::kKeyRelease) continue;
@@ -16,7 +32,7 @@ std::optional<chain::Transaction> FairExchangeSeller::try_redeem(
       continue;
     }
     state_ = State::kRedeemed;
-    return wallet_.create_redeem(chain::OutPoint{txid, v},
+    return wallet_.create_redeem(chain::OutPoint{candidate_offer.txid(), v},
                                  candidate_offer.vout[v], ephemeral_.priv,
                                  fee);
   }

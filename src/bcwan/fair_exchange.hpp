@@ -32,8 +32,7 @@ class FairExchangeSeller {
 
   /// `wallet` receives the payment; `ephemeral` is the per-message pair
   /// whose public half the buyer's data was encrypted under.
-  FairExchangeSeller(const chain::Wallet& wallet, crypto::RsaKeyPair ephemeral)
-      : wallet_(wallet), ephemeral_(std::move(ephemeral)) {}
+  FairExchangeSeller(const chain::Wallet& wallet, crypto::RsaKeyPair ephemeral);
 
   const crypto::RsaPublicKey& ephemeral_pub() const noexcept {
     return ephemeral_.pub;
@@ -43,12 +42,17 @@ class FairExchangeSeller {
   /// Inspect a transaction (from the mempool/gossip). If it is a Listing-1
   /// offer addressed to this seller's identity and ephemeral key, build the
   /// redeem that claims it (revealing eSk). At most one redeem is produced.
+  /// Only an output that opens with the push make_key_release writes for
+  /// this seller's ePk is decoded; an offer carrying the key in any other
+  /// encoding is not redeemed.
   std::optional<chain::Transaction> try_redeem(
       const chain::Transaction& candidate_offer, chain::Amount fee);
 
  private:
   const chain::Wallet& wallet_;
   crypto::RsaKeyPair ephemeral_;
+  // The opening push of an offer to this ePk, as make_key_release writes it.
+  util::Bytes offer_prefix_;
   State state_ = State::kAwaitingOffer;
 };
 

@@ -38,6 +38,7 @@ GatewayAgent::GatewayAgent(p2p::EventLoop& loop, p2p::Transport& net,
       net_(net),
       radio_(radio),
       node_(node),
+      confirmations_(node),
       directory_(directory),
       wallet_(std::move(wallet)),
       timing_(timing),
@@ -76,6 +77,7 @@ void GatewayAgent::crash() {
   seen_payloads_.clear();
   submitted_redeems_.clear();
   withheld_redeems_.clear();
+  confirmations_.clear();
 }
 
 void GatewayAgent::restart() {
@@ -300,6 +302,7 @@ void GatewayAgent::on_mempool_tx(const chain::Transaction& tx) {
         submit_redeem(redeem);
       });
     } else {
+      confirmations_.watch(txid);
       pending_redeems_.push_back(std::move(redeem));
     }
   }
@@ -310,10 +313,12 @@ void GatewayAgent::on_block(const chain::Block&) {
   revisit_submitted_redeems();
   if (pending_redeems_.empty()) return;
   std::vector<PendingRedeem> still_waiting;
+  std::vector<chain::Hash256> released;
   for (const PendingRedeem& redeem : pending_redeems_) {
-    int confirmations = 0;
-    if (node_.chain().tx_confirmations(redeem.offer_txid, confirmations) &&
-        confirmations >= config_.confirmations_required) {
+    const std::optional<int> confirmations =
+        confirmations_.confirmations(redeem.offer_txid);
+    if (confirmations && *confirmations >= config_.confirmations_required) {
+      released.push_back(redeem.offer_txid);
       const std::uint64_t epoch = epoch_;
       loop_.after(timing_.wallet_tx_build, [this, redeem, epoch] {
         if (epoch != epoch_) return;
@@ -324,6 +329,8 @@ void GatewayAgent::on_block(const chain::Block&) {
     }
   }
   pending_redeems_ = std::move(still_waiting);
+  // After the loop: redeems of one offer share its txid and its verdict.
+  for (const chain::Hash256& txid : released) confirmations_.forget(txid);
 }
 
 void GatewayAgent::submit_redeem(const PendingRedeem& redeem) {
@@ -364,6 +371,7 @@ void GatewayAgent::submit_redeem(const PendingRedeem& redeem) {
     ++redeems_;
     submitted_redeems_.push_back(
         SubmittedRedeem{tx, tx.txid(), redeem.outpoint, redeem.device_id, 0});
+    confirmations_.watch(tx.txid());
     if (on_redeemed) on_redeemed(redeem.device_id);
     if (misbehavior_ == GatewayMisbehavior::kDoubleClaim) {
       // Honest reveal, then a second conflicting claim of the same output
@@ -400,23 +408,28 @@ void GatewayAgent::revisit_submitted_redeems() {
   // redeem_confirm_depth deep, the reclaim branch won (conflict), or the
   // resubmit budget runs out.
   std::erase_if(submitted_redeems_, [this](SubmittedRedeem& sub) {
-    int confirmations = 0;
-    if (node_.chain().tx_confirmations(sub.txid, confirmations) &&
-        confirmations >= config_.redeem_confirm_depth) {
-      return true;  // buried; settled for good
-    }
-    if (node_.mempool().contains(sub.txid)) return false;  // will re-mine
-    if (sub.resubmits >= config_.max_redeem_resubmits) return true;
-    ++sub.resubmits;
-    const auto result = node_.submit_tx(sub.tx);
-    if (result.ok()) {
-      ++redeem_resubmits_;
-      return false;
-    }
-    // kConflict: the recipient's reclaim spent the offer first — lost race,
-    // nothing left to recover. kInvalid: the offer output itself is gone.
-    return result.error != chain::MempoolError::kAlreadyKnown;
+    if (!redeem_settled(sub)) return false;
+    confirmations_.forget(sub.txid);
+    return true;
   });
+}
+
+bool GatewayAgent::redeem_settled(SubmittedRedeem& sub) {
+  const std::optional<int> confirmations =
+      confirmations_.confirmations(sub.txid);
+  if (confirmations && *confirmations >= config_.redeem_confirm_depth)
+    return true;  // buried; settled for good
+  if (node_.mempool().contains(sub.txid)) return false;  // will re-mine
+  if (sub.resubmits >= config_.max_redeem_resubmits) return true;
+  ++sub.resubmits;
+  const auto result = node_.submit_tx(sub.tx);
+  if (result.ok()) {
+    ++redeem_resubmits_;
+    return false;
+  }
+  // kConflict: the recipient's reclaim spent the offer first — lost race,
+  // nothing left to recover. kInvalid: the offer output itself is gone.
+  return result.error != chain::MempoolError::kAlreadyKnown;
 }
 
 void GatewayAgent::schedule_housekeeping() {

@@ -38,6 +38,7 @@
 #include "chain/wallet.hpp"
 #include "lora/radio.hpp"
 #include "p2p/chain_node.hpp"
+#include "p2p/confirmations.hpp"
 #include "p2p/event_loop.hpp"
 
 namespace bcwan::core {
@@ -214,6 +215,9 @@ class GatewayAgent {
   void on_block(const chain::Block& block);
   void submit_redeem(const PendingRedeem& redeem);
   void revisit_submitted_redeems();
+  /// One revisit of a submitted redeem: true once it needs no more watching
+  /// (buried, lost to a conflict, or out of resubmits).
+  bool redeem_settled(SubmittedRedeem& sub);
   void schedule_housekeeping();
   void housekeeping();
   util::SimTime backoff_delay(util::SimTime base, int attempt);
@@ -222,6 +226,9 @@ class GatewayAgent {
   p2p::Transport& net_;
   lora::LoraRadio& radio_;
   p2p::ChainNode& node_;
+  // Confirmation depths of awaited offers and submitted redeems. Declared
+  // right after node_: its block watcher must run before on_block.
+  p2p::TxConfirmations confirmations_;
   Directory& directory_;
   chain::Wallet wallet_;
   TimingModel timing_;

@@ -11,6 +11,7 @@ RecipientAgent::RecipientAgent(p2p::EventLoop& loop, p2p::Transport& net,
     : loop_(loop),
       net_(net),
       node_(node),
+      confirmations_(node),
       wallet_(std::move(wallet)),
       timing_(timing),
       config_(config),
@@ -119,6 +120,7 @@ void RecipientAgent::post_offer(const DeliverPayload& payload, int attempt) {
   pending.offer_outpoint = chain::OutPoint{pending.offer_txid, 0};
   pending.offer_out = offer->vout[0];
   pending.timeout_height = timeout_height;
+  confirmations_.watch(pending.offer_txid);
   pending_.push_back(std::move(pending));
   ++offers_;
   if (on_offer_posted) on_offer_posted(payload.device_id);
@@ -157,7 +159,16 @@ void RecipientAgent::on_mempool_tx(const chain::Transaction& tx) {
       try_extract_reveal(pending, in);
     }
   }
-  std::erase_if(pending_, [](const PendingExchange& p) { return p.settled; });
+  drop_settled();
+}
+
+void RecipientAgent::drop_settled() {
+  std::erase_if(pending_, [this](const PendingExchange& p) {
+    if (!p.settled) return false;
+    confirmations_.forget(p.offer_txid);
+    if (p.reclaiming) confirmations_.forget(p.reclaim_txid);
+    return true;
+  });
 }
 
 void RecipientAgent::on_block(const chain::Block& block) {
@@ -180,7 +191,7 @@ void RecipientAgent::on_block(const chain::Block& block) {
     if (!pending.settled && !pending.reclaiming)
       maybe_reclaim(pending, height);
   }
-  std::erase_if(pending_, [](const PendingExchange& p) { return p.settled; });
+  drop_settled();
 
   // Dedupe entries outlive their usefulness one window after acceptance.
   std::erase_if(accepted_delivers_, [&](const auto& entry) {
@@ -198,6 +209,7 @@ void RecipientAgent::maybe_reclaim(PendingExchange& pending, int height) {
     pending.reclaiming = true;
     pending.reclaim_tx = reclaim;
     pending.reclaim_txid = reclaim.txid();
+    confirmations_.watch(pending.reclaim_txid);
     ++reclaims_;
     if (on_reclaimed) on_reclaimed(pending.device_id);
   }
@@ -207,10 +219,9 @@ void RecipientAgent::revisit_transactions(PendingExchange& pending) {
   // Reorg recovery. A transaction whose block lost a reorg race vanishes
   // without re-entering the mempool; re-broadcast it or the exchange hangs
   // until the CLTV timeout (offer) or forever (reclaim).
-  int confirmations = 0;
   if (pending.reclaiming) {
-    if (node_.chain().tx_confirmations(pending.reclaim_txid, confirmations)) {
-      if (confirmations >= 1) pending.settled = true;  // funds are back
+    if (confirmations_.confirmations(pending.reclaim_txid)) {
+      pending.settled = true;  // funds are back
       return;
     }
     if (node_.mempool().contains(pending.reclaim_txid)) return;
@@ -227,12 +238,12 @@ void RecipientAgent::revisit_transactions(PendingExchange& pending) {
       // The gateway's redeem beat us after all; go back to watching for it
       // (its mempool sighting reveals eSk and settles the exchange).
       pending.reclaiming = false;
+      confirmations_.forget(pending.reclaim_txid);
     }
     return;
   }
   // No reclaim in flight: make sure the offer itself is still alive.
-  if (node_.chain().tx_confirmations(pending.offer_txid, confirmations))
-    return;
+  if (confirmations_.confirmations(pending.offer_txid)) return;
   if (node_.mempool().contains(pending.offer_txid)) return;
   if (pending.rebroadcasts >= config_.max_rebroadcasts) {
     pending.settled = true;  // unrecoverable; stop leaking the entry

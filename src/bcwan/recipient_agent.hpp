@@ -34,6 +34,7 @@
 #include "bcwan/timing.hpp"
 #include "chain/wallet.hpp"
 #include "p2p/chain_node.hpp"
+#include "p2p/confirmations.hpp"
 #include "p2p/event_loop.hpp"
 
 namespace bcwan::core {
@@ -142,10 +143,15 @@ class RecipientAgent {
   bool try_extract_reveal(PendingExchange& pending, const chain::TxIn& in);
   void maybe_reclaim(PendingExchange& pending, int height);
   void revisit_transactions(PendingExchange& pending);
+  /// Drop settled exchanges and stop tracking their transactions.
+  void drop_settled();
 
   p2p::EventLoop& loop_;
   p2p::Transport& net_;
   p2p::ChainNode& node_;
+  // Confirmation depths of pending offers and reclaims. Declared right
+  // after node_: its block watcher must run before on_block.
+  p2p::TxConfirmations confirmations_;
   chain::Wallet wallet_;
   TimingModel timing_;
   RecipientConfig config_;

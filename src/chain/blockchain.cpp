@@ -1,6 +1,7 @@
 #include "chain/blockchain.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "chain/pos.hpp"
@@ -53,7 +54,6 @@ Blockchain::Blockchain(const ChainParams& params) : params_(params) {
   stored.prev_block = genesis.header.prev_block;
   files_.assign(stored.body, files_.keep(genesis.serialize()));
   active_.push_back(hash);
-  tx_index_[genesis.txs[0].txid()] = 0;
 }
 
 namespace {
@@ -142,14 +142,6 @@ std::optional<util::Bytes> Blockchain::block_bytes_at(int h) const {
   return body_bytes(hash, blocks_.at(hash));
 }
 
-bool Blockchain::tx_confirmations(const Hash256& txid,
-                                  int& confirmations) const {
-  const auto it = tx_index_.find(txid);
-  if (it == tx_index_.end()) return false;
-  confirmations = height() - it->second + 1;
-  return true;
-}
-
 bool Blockchain::connect_tip(const Block& block, const Hash256& hash,
                              LoggedUndo* undo_hint) {
   // Telemetry is gated off during trusted log replay: four registry
@@ -183,8 +175,6 @@ bool Blockchain::connect_tip(const Block& block, const Hash256& hash,
   }
   stored.undo_pruned = false;
   active_.push_back(hash);
-  for (const Transaction& tx : block.txs)
-    tx_index_[tx.txid()] = stored.height;
   if (note) {
     auto& reg = telemetry::registry();
     reg.counter("bcwan_chain_blocks_connected_total",
@@ -204,7 +194,7 @@ bool Blockchain::connect_tip(const Block& block, const Hash256& hash,
 }
 
 AcceptBlockResult Blockchain::accept_block(const Block& block) {
-  return accept_internal(Block(block), block.hash(), {}, nullptr);
+  return accept_reporting(Block(block), block.hash(), {}, nullptr);
 }
 
 AcceptBlockResult Blockchain::replay_block(Block&& block, const Hash256& hash,
@@ -212,14 +202,32 @@ AcceptBlockResult Blockchain::replay_block(Block&& block, const Hash256& hash,
                                            LoggedUndo* undo) {
   replay_mode_ = true;
   const AcceptBlockResult result =
-      accept_internal(std::move(block), hash, body, undo);
+      accept_reporting(std::move(block), hash, body, undo);
   replay_mode_ = false;
   return result;
 }
 
-void Blockchain::reserve_for_replay(std::size_t blocks, std::size_t txs) {
+AcceptBlockResult Blockchain::accept_reporting(Block&& block,
+                                               const Hash256& hash,
+                                               Extent body,
+                                               LoggedUndo* replay_undo) {
+  const int old_height = height();
+  call_fork_ = -1;
+  const AcceptBlockResult result =
+      accept_internal(std::move(block), hash, body, replay_undo);
+  // Orphan descendants released by this block may have reorganized the
+  // chain even when the block itself connected or landed on a side chain.
+  if (call_fork_ < 0 || (result != AcceptBlockResult::kConnected &&
+                         result != AcceptBlockResult::kSideChain &&
+                         result != AcceptBlockResult::kReorganized)) {
+    return result;
+  }
+  last_fork_height_ = std::min(old_height, call_fork_);
+  return AcceptBlockResult::kReorganized;
+}
+
+void Blockchain::reserve_for_replay(std::size_t blocks) {
   blocks_.reserve(blocks_.size() + blocks);
-  tx_index_.reserve(tx_index_.size() + txs);
   active_.reserve(active_.size() + blocks);
 }
 
@@ -360,7 +368,9 @@ AcceptBlockResult Blockchain::maybe_reorg(const Hash256& new_tip) {
   // Expose the losing branch's transactions (dependency order) so the node
   // can resurrect them into its mempool; a coinbase-only winning branch
   // would otherwise silently destroy every exchange the old branch carried.
-  disconnected_txs_.clear();
+  // A second reorg within one accept appends the branch it drops.
+  if (call_fork_ < 0) disconnected_txs_.clear();
+  const std::size_t kept_txs = disconnected_txs_.size();
   for (const auto& [h, old_block] : removed) {
     for (std::size_t i = 1; i < old_block.txs.size(); ++i)
       disconnected_txs_.push_back(old_block.txs[i]);
@@ -382,11 +392,11 @@ AcceptBlockResult Blockchain::maybe_reorg(const Hash256& new_tip) {
         const bool ok = connect_tip(old_block, h);
         (void)ok;  // previously-active blocks reconnect by construction
       }
-      disconnected_txs_.clear();  // nothing was lost after all
+      disconnected_txs_.resize(kept_txs);  // nothing was lost after all
       return AcceptBlockResult::kInvalid;
     }
   }
-  last_fork_height_ = fork_height;
+  call_fork_ = call_fork_ < 0 ? fork_height : std::min(call_fork_, fork_height);
   return AcceptBlockResult::kReorganized;
 }
 
@@ -396,7 +406,6 @@ Block Blockchain::disconnect_tip() {
   Block block = decode(hash, stored);
   disconnect_block(decode_undo(undo_bytes(hash, stored)), utxo_);
   files_.assign(stored.undo, {});
-  for (const Transaction& tx : block.txs) tx_index_.erase(tx.txid());
   active_.pop_back();
   return block;
 }
@@ -466,7 +475,6 @@ std::optional<Blockchain> Blockchain::restore_state(const ChainParams& params,
     const Hash256 genesis_hash = chain.active_.front();
     chain.blocks_.clear();
     chain.active_.clear();
-    chain.tx_index_.clear();
     chain.files_ = BlockFiles{};
     const std::uint32_t file_id = chain.files_.open(file.path);
     if (file_id == 0) return std::nullopt;
@@ -480,10 +488,6 @@ std::optional<Blockchain> Blockchain::restore_state(const ChainParams& params,
 
     const std::uint64_t block_count = r.varint();
     chain.blocks_.reserve(static_cast<std::size_t>(block_count));
-    // Txids of every stored block, for the active chain's tx index below
-    // (the bodies themselves stay serialized).
-    std::unordered_map<Hash256, std::vector<Hash256>, Hash256Hasher> txids;
-    txids.reserve(static_cast<std::size_t>(block_count));
     for (std::uint64_t i = 0; i < block_count; ++i) {
       const util::ByteView body = r.var_view();
       const auto block = Block::deserialize(body);
@@ -495,9 +499,6 @@ std::optional<Blockchain> Blockchain::restore_state(const ChainParams& params,
       read_undo(undo_r);
       undo_r.expect_done();
       const Hash256 hash = block->hash();
-      std::vector<Hash256>& ids = txids[hash];
-      ids.reserve(block->txs.size());
-      for (const Transaction& tx : block->txs) ids.push_back(tx.txid());
       StoredBlock& stored = chain.blocks_[hash];
       stored.prev_block = block->header.prev_block;
       stored.height = block_height;
@@ -538,8 +539,6 @@ std::optional<Blockchain> Blockchain::restore_state(const ChainParams& params,
       }
       if (it->second.undo_pruned)
         chain.undo_pruned_floor_ = static_cast<int>(h) + 1;
-      for (const Hash256& txid : txids.at(chain.active_[h]))
-        chain.tx_index_[txid] = static_cast<int>(h);
     }
     return chain;
   } catch (const util::DeserializeError&) {
@@ -650,9 +649,6 @@ bool Blockchain::apply_state_delta(const StateDelta& d,
     }
     return file.extent(file_id, range);
   };
-  // New blocks by hash, so pushing them needs no read back.
-  std::unordered_map<Hash256, const Block*, Hash256Hasher> fresh;
-
   // 1. Store the window's new blocks (parents arrive before children).
   for (const StateDelta::NewBlock& nb : d.new_blocks) {
     const Hash256 hash = nb.block.hash();
@@ -664,17 +660,12 @@ bool Blockchain::apply_state_delta(const StateDelta& d,
     stored.prev_block = nb.block.header.prev_block;
     stored.height = nb.height;
     files_.assign(stored.body, place(nb.body_at));
-    fresh.emplace(hash, &nb.block);
   }
 
   // 2. Rewind the active chain to the window's fork point.
   if (d.pop >= active_.size()) return false;
   for (std::uint32_t i = 0; i < d.pop; ++i) {
-    const Hash256& hash = active_.back();
-    StoredBlock& stored = blocks_.at(hash);
-    for (const Transaction& tx : decode(hash, stored).txs)
-      tx_index_.erase(tx.txid());
-    files_.assign(stored.undo, {});
+    files_.assign(blocks_.at(active_.back()).undo, {});
     active_.pop_back();
   }
 
@@ -693,13 +684,6 @@ bool Blockchain::apply_state_delta(const StateDelta& d,
       files_.assign(stored.undo, place(p.undo_at));
     }
     stored.undo_pruned = false;
-    const auto new_block = fresh.find(p.hash);
-    const std::vector<Transaction> read_back =
-        new_block == fresh.end() ? decode(p.hash, stored).txs
-                                 : std::vector<Transaction>{};
-    const std::vector<Transaction>& txs =
-        new_block == fresh.end() ? read_back : new_block->second->txs;
-    for (const Transaction& tx : txs) tx_index_[tx.txid()] = stored.height;
     active_.push_back(p.hash);
   }
 
@@ -785,11 +769,12 @@ void Blockchain::try_connect_orphans(const Hash256& parent) {
       orphans_.begin(), orphans_.end(), [&](const auto& orphan) {
         return orphan.second.header.prev_block != parent;
       });
-  std::vector<Block> children;
-  for (auto it = first_child; it != orphans_.end(); ++it)
-    children.push_back(std::move(it->second));
+  std::vector<std::pair<Hash256, Block>> children(
+      std::make_move_iterator(first_child),
+      std::make_move_iterator(orphans_.end()));
   orphans_.erase(first_child, orphans_.end());
-  for (const Block& block : children) accept_block(block);
+  for (auto& [hash, block] : children)
+    accept_internal(std::move(block), hash, {}, nullptr);
 }
 
 }  // namespace bcwan::chain

@@ -74,7 +74,12 @@ class Blockchain {
   const UtxoSet& utxo() const noexcept { return utxo_; }
 
   /// Validate and store; connects/reorganises as needed. Orphans are kept
-  /// and connected automatically when their parent arrives.
+  /// and connected automatically when their parent arrives. The result
+  /// covers the orphan descendants the block released: kReorganized when
+  /// any of them (or the block) reorganized the chain, with
+  /// last_fork_height() the highest block the active chains before and
+  /// after the call share; otherwise kConnected may have extended the
+  /// chain by more than the block.
   AcceptBlockResult accept_block(const Block& block);
 
   /// Trusted store-recovery path: the same acceptance/reorg state machine
@@ -88,10 +93,9 @@ class Blockchain {
   AcceptBlockResult replay_block(Block&& block, const Hash256& hash,
                                  const Extent& body, LoggedUndo* undo);
 
-  /// Pre-size the block map, tx index and active chain before a bulk
-  /// replay (the store counts records and transactions up front; rehashing
-  /// mid-replay is pure waste).
-  void reserve_for_replay(std::size_t blocks, std::size_t txs);
+  /// Pre-size the block map and active chain before a bulk replay (the
+  /// store counts records up front; rehashing mid-replay is pure waste).
+  void reserve_for_replay(std::size_t blocks);
 
   /// Observer invoked whenever a block is newly stored (connected, reorg
   /// trigger or side-chain — not still-unparented orphans), before any
@@ -208,10 +212,11 @@ class Blockchain {
   /// undo record — a reorg cannot disconnect past it.
   bool undo_pruned_at(int height) const;
 
-  /// Fork height of the most recent successful reorganization: the highest
-  /// block common to the old and new active chains. -1 until the first
-  /// reorg. Chain-derived indexes (the gateway directory) unwind to this
-  /// height instead of rebuilding from scratch.
+  /// Fork height of the most recent accept_block/replay_block call that
+  /// reported kReorganized: the highest block common to the active chains
+  /// before and after that call. -1 until the first reorg. Chain-derived
+  /// indexes (the gateway directory) unwind to this height instead of
+  /// rebuilding from scratch.
   int last_fork_height() const noexcept { return last_fork_height_; }
 
   bool have_block(const Hash256& hash) const {
@@ -230,17 +235,14 @@ class Blockchain {
   /// Active-chain hashes from genesis to tip.
   const std::vector<Hash256>& active_chain() const noexcept { return active_; }
 
-  /// True if the tx is confirmed in the active chain; returns depth
-  /// (1 = in tip block) via out param.
-  bool tx_confirmations(const Hash256& txid, int& confirmations) const;
-
   /// The validation failure recorded for the last kInvalid result.
   const BlockValidationResult& last_failure() const noexcept {
     return last_failure_;
   }
 
-  /// Non-coinbase transactions disconnected by the most recent reorg, in
-  /// dependency order (ascending block height, in-block order preserved).
+  /// Non-coinbase transactions disconnected by the most recent reorganized
+  /// accept, in dependency order (ascending block height, in-block order
+  /// preserved; a second reorg within the call appends its losing branch).
   /// The caller (the node) re-accepts them into its mempool so an orphaned
   /// tx chain — e.g. an offer spending an orphaned announcement's change —
   /// is re-mined instead of vanishing. Moves the list out; empty until the
@@ -290,11 +292,15 @@ class Blockchain {
   /// `replay_undo` non-null takes the trusted tip-extension fast path.
   AcceptBlockResult accept_internal(Block&& block, const Hash256& hash,
                                     Extent body, LoggedUndo* replay_undo);
+  /// accept_internal for one public call, reporting a reorganization made
+  /// by the released orphan descendants as the call's result.
+  AcceptBlockResult accept_reporting(Block&& block, const Hash256& hash,
+                                     Extent body, LoggedUndo* replay_undo);
   /// Park a block whose parent is unknown (once), evicting the oldest
   /// beyond kMaxOrphanBlocks.
   void add_orphan(const Hash256& hash, Block&& block);
-  /// Pop the active tip: roll its UTXO delta back and drop its tx-index
-  /// entries. Returns the decoded block.
+  /// Pop the active tip: roll its UTXO delta back. Returns the decoded
+  /// block.
   Block disconnect_tip();
   /// `undo_hint` non-null takes the no-validation fast path (trusted log
   /// replay of a tip extension) and keeps its logged bytes as the record;
@@ -315,8 +321,6 @@ class Blockchain {
   std::vector<std::pair<Hash256, Block>> orphans_;
   std::uint64_t orphans_evicted_ = 0;
   std::vector<Hash256> active_;
-  // txid -> active-chain height, for confirmation queries.
-  std::unordered_map<Hash256, int, Hash256Hasher> tx_index_;
   UtxoSet utxo_;
   BlockValidationResult last_failure_;
   std::vector<Transaction> disconnected_txs_;
@@ -328,6 +332,9 @@ class Blockchain {
   // Heights below this are already undo-pruned (prune_undo watermark).
   int undo_pruned_floor_ = 1;
   int last_fork_height_ = -1;
+  // Lowest fork of the reorganizations made within the current public
+  // accept call; -1 while there was none.
+  int call_fork_ = -1;
 };
 
 }  // namespace bcwan::chain

@@ -1,8 +1,47 @@
 #include "chain/miner.hpp"
 
 #include <stdexcept>
+#include <unordered_map>
+#include <unordered_set>
 
 namespace bcwan::chain {
+
+namespace {
+
+// The chainstate as the block under assembly changes it: spends and new
+// outputs recorded over the chain's UTXO set, which stays untouched. A
+// copy of the set would cost O(UTXO set) per block in time and peak heap.
+class BlockCoinView : public CoinView {
+ public:
+  explicit BlockCoinView(const UtxoSet& base) : base_(base) {}
+
+  std::optional<Coin> get(const OutPoint& op) const override {
+    if (const auto it = added_.find(op); it != added_.end()) return it->second;
+    if (spent_.count(op) != 0) return std::nullopt;
+    return base_.get(op);
+  }
+
+  void apply(const Transaction& tx, int height) {
+    for (const TxIn& in : tx.vin) {
+      if (added_.erase(in.prevout) == 0) spent_.insert(in.prevout);
+    }
+    const Hash256 txid = tx.txid();
+    for (std::uint32_t v = 0; v < tx.vout.size(); ++v) {
+      if (script::classify(tx.vout[v].script_pubkey).type ==
+          script::ScriptType::kOpReturn) {
+        continue;
+      }
+      added_.emplace(OutPoint{txid, v}, Coin{tx.vout[v], height, false});
+    }
+  }
+
+ private:
+  const UtxoSet& base_;
+  std::unordered_set<OutPoint, OutPointHasher> spent_;
+  std::unordered_map<OutPoint, Coin, OutPointHasher> added_;
+};
+
+}  // namespace
 
 Block Miner::assemble(const Blockchain& chain, const Mempool& pool,
                       std::uint64_t time) const {
@@ -12,10 +51,10 @@ Block Miner::assemble(const Blockchain& chain, const Mempool& pool,
   const std::size_t budget = params_.max_block_size - 1000;
   const std::vector<Transaction> candidates = pool.select_for_block(budget);
 
-  // Re-validate the selection against a scratch chainstate and accumulate
-  // fees; anything that no longer validates (e.g. its input got confirmed
-  // elsewhere) is skipped.
-  UtxoSet scratch = chain.utxo();
+  // Re-validate the selection against the chainstate as the block changes
+  // it and accumulate fees; anything that no longer validates (e.g. its
+  // input got confirmed elsewhere) is skipped.
+  BlockCoinView scratch(chain.utxo());
   std::vector<Transaction> included;
   Amount fees = 0;
   for (const Transaction& tx : candidates) {
@@ -27,15 +66,7 @@ Block Miner::assemble(const Blockchain& chain, const Mempool& pool,
         check_tx_inputs(tx, scratch, new_height, params_);
     if (!result.ok()) continue;
     fees += result.fee;
-    const Hash256 txid = tx.txid();
-    for (const TxIn& in : tx.vin) scratch.spend(in.prevout);
-    for (std::uint32_t v = 0; v < tx.vout.size(); ++v) {
-      if (script::classify(tx.vout[v].script_pubkey).type ==
-          script::ScriptType::kOpReturn) {
-        continue;
-      }
-      scratch.add(OutPoint{txid, v}, Coin{tx.vout[v], new_height, false});
-    }
+    scratch.apply(tx, new_height);
     included.push_back(tx);
   }
 

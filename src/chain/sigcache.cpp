@@ -54,6 +54,12 @@ void VerifyCache::insert(const Hash256& k) {
   entries_.insert(k);
 }
 
+void VerifyCache::erase(const std::vector<Hash256>& keys) {
+  if (keys.empty()) return;
+  std::unique_lock lock(mutex_);
+  for (const Hash256& k : keys) entries_.erase(k);
+}
+
 void VerifyCache::clear() {
   std::unique_lock lock(mutex_);
   entries_.clear();

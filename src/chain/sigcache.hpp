@@ -12,7 +12,10 @@
 //     script execution entirely for transactions the mempool already
 //     validated. Script validity depends only on the transaction body and
 //     the coins it spends, both of which the txid commits to (an outpoint
-//     names the creating transaction), so the txid is a sound key.
+//     names the creating transaction), so the txid is a sound key. Mempool
+//     admission inserts; a block that connects consumes its hits and inserts
+//     nothing (as Bitcoin Core's does), so the cache holds at most what the
+//     mempool admitted and has not yet seen confirmed.
 //
 // Only *successful* checks are stored: an entry's presence means "known
 // valid", so a poisoned or colliding entry can never turn an invalid spend
@@ -29,6 +32,7 @@
 #include <initializer_list>
 #include <shared_mutex>
 #include <unordered_set>
+#include <vector>
 
 #include "chain/transaction.hpp"
 #include "util/bytes.hpp"
@@ -48,6 +52,9 @@ class VerifyCache {
 
   /// Record a successful verification. No-op while disabled.
   void insert(const Hash256& k);
+
+  /// Forget entries (consumed by a connected block).
+  void erase(const std::vector<Hash256>& keys);
 
   /// Drop all entries and reset counters (tests, bench ablations).
   void clear();

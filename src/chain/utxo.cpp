@@ -93,15 +93,6 @@ UtxoJournal UtxoSet::take_journal() {
   return out;
 }
 
-std::vector<std::pair<OutPoint, Coin>> UtxoSet::find_by_script(
-    const script::Script& script) const {
-  std::vector<std::pair<OutPoint, Coin>> out;
-  for (const auto& [op, coin] : coins_) {
-    if (coin.out.script_pubkey == script) out.emplace_back(op, coin);
-  }
-  return out;
-}
-
 Amount UtxoSet::total_value() const {
   Amount total = 0;
   for (const auto& [op, coin] : coins_) total += coin.out.value;

@@ -66,10 +66,6 @@ class UtxoSet : public CoinView {
 
   std::size_t size() const noexcept { return coins_.size(); }
 
-  /// All coins whose scriptPubKey matches `script` — wallet rescans.
-  std::vector<std::pair<OutPoint, Coin>> find_by_script(
-      const script::Script& script) const;
-
   /// Total value of all coins (supply-conservation checks in tests).
   Amount total_value() const;
 

@@ -74,6 +74,7 @@ std::string block_error_name(BlockError err) {
     case BlockError::kDoubleSpendInBlock: return "double-spend-in-block";
     case BlockError::kBadProposer: return "bad-proposer";
     case BlockError::kMinerNotPermitted: return "miner-not-permitted";
+    case BlockError::kBadCoinbaseHeight: return "bad-coinbase-height";
   }
   return "unknown";
 }
@@ -254,6 +255,17 @@ BlockValidationResult connect_block(const Block& block, UtxoSet& utxo,
                                     BlockUndo& undo, bool verify_scripts) {
   BlockValidationResult result = check_block(block, params);
   if (!result.ok()) return result;
+  if (height >= 1) {
+    script::Script expected;
+    expected.push_int(height);
+    const util::Bytes& prefix = expected.bytes();
+    const util::Bytes& sig = block.txs[0].vin[0].script_sig.bytes();
+    if (sig.size() < prefix.size() ||
+        !std::equal(prefix.begin(), prefix.end(), sig.begin())) {
+      result.error = BlockError::kBadCoinbaseHeight;
+      return result;
+    }
+  }
 
   undo = BlockUndo{};
   Amount total_fees = 0;
@@ -289,7 +301,9 @@ BlockValidationResult connect_block(const Block& block, UtxoSet& utxo,
   // the coins below does not invalidate them.
   std::vector<ScriptCheck> checks;
   std::vector<Amount> fees(block.txs.size(), 0);
-  std::vector<Hash256> exec_keys(block.txs.size());
+  // Exec-cache keys of transactions that queued no checks (cache hits),
+  // consumed once the block connects.
+  std::vector<Hash256> consumed;
   std::size_t contextual_fail_index = block.txs.size();
 
   // Sighash midstates, one per transaction that queues checks, shared by
@@ -299,6 +313,7 @@ BlockValidationResult connect_block(const Block& block, UtxoSet& utxo,
 
   for (std::size_t i = 1; i < block.txs.size(); ++i) {
     const Transaction& tx = block.txs[i];
+    const std::size_t queued = checks.size();
     const TxValidationResult tx_result =
         check_tx_inputs(tx, utxo, height, params, &checks, i, &precomps);
     if (!tx_result.ok()) {
@@ -316,7 +331,7 @@ BlockValidationResult connect_block(const Block& block, UtxoSet& utxo,
     // the second spend of the same outpoint fails check_tx_inputs above
     // because the coin is already gone).
     const Hash256 txid = tx.txid();
-    exec_keys[i] = script_exec_key(txid);
+    if (checks.size() == queued) consumed.push_back(script_exec_key(txid));
     for (const TxIn& in : tx.vin) {
       auto coin = utxo.spend(in.prevout);
       undo.spent.emplace_back(in.prevout, *std::move(coin));
@@ -373,10 +388,9 @@ BlockValidationResult connect_block(const Block& block, UtxoSet& utxo,
     return result;
   }
 
-  // Every script in the block verified: remember the txids so a reorg
-  // re-connect or mempool revalidation skips execution next time.
-  for (std::size_t i = 1; i < block.txs.size(); ++i)
-    script_exec_cache().insert(exec_keys[i]);
+  // A confirmed transaction cannot be admitted or connected again on this
+  // branch, so its entry has served its purpose.
+  script_exec_cache().erase(consumed);
   return result;
 }
 

@@ -82,6 +82,7 @@ enum class BlockError {
   kDoubleSpendInBlock,
   kBadProposer,  // PoS: wrong slot leader or bad header signature
   kMinerNotPermitted,  // permissioned chain: coinbase pays an outsider
+  kBadCoinbaseHeight,  // coinbase scriptSig does not open with the height
 };
 
 std::string block_error_name(BlockError err);
@@ -113,6 +114,10 @@ BlockValidationResult check_block(const Block& block,
 
 /// Full contextual validation; on success the UTXO set is updated and
 /// `undo` describes how to roll it back. On failure the set is untouched.
+/// At height >= 1 the coinbase scriptSig must begin with push_int(height)
+/// (BIP34), so no two coinbases, and hence no two transactions, share a
+/// txid. Transactions the script-execution cache knows skip their scripts,
+/// and a block that connects consumes those cache entries.
 /// `verify_scripts = false` skips input-script execution — the store's
 /// trusted replay path, where every block was fully validated before it
 /// reached the CRC-protected log; all contextual checks (maturity, fees,

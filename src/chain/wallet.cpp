@@ -33,17 +33,52 @@ Wallet Wallet::from_seed(std::string_view name) {
   return Wallet(crypto::ec_from_seed(util::str_bytes(name)));
 }
 
+void Wallet::sync_coins(const Blockchain& chain) const {
+  CoinCache& cache = coins_;
+  const bool extends =
+      cache.chain == &chain && cache.height >= 0 &&
+      cache.height <= chain.height() &&
+      chain.active_chain()[static_cast<std::size_t>(cache.height)] ==
+          cache.tip;
+  if (!extends) {
+    cache.chain = &chain;
+    cache.coins.clear();
+    chain.utxo().for_each([&](const OutPoint& op, const Coin& coin) {
+      if (coin.out.script_pubkey == own_script_) cache.coins.emplace(op, coin);
+    });
+    ++cache.rebuilds;
+  } else {
+    for (int h = cache.height + 1; h <= chain.height(); ++h) {
+      const std::optional<Block> block = chain.block_at(h);
+      for (std::size_t i = 0; i < block->txs.size(); ++i) {
+        const Transaction& tx = block->txs[i];
+        if (i > 0) {
+          for (const TxIn& in : tx.vin) cache.coins.erase(in.prevout);
+        }
+        for (std::uint32_t v = 0; v < tx.vout.size(); ++v) {
+          if (tx.vout[v].script_pubkey == own_script_)
+            cache.coins[OutPoint{tx.txid(), v}] = Coin{tx.vout[v], h, i == 0};
+        }
+      }
+    }
+  }
+  cache.height = chain.height();
+  cache.tip = chain.tip_hash();
+}
+
 std::vector<std::pair<OutPoint, Coin>> Wallet::spendable(
     const Blockchain& chain, const Mempool* pool) const {
-  auto coins = chain.utxo().find_by_script(own_script_);
-  std::erase_if(coins, [&](const std::pair<OutPoint, Coin>& entry) {
-    const auto& [op, coin] = entry;
+  sync_coins(chain);
+  std::vector<std::pair<OutPoint, Coin>> coins;
+  coins.reserve(coins_.coins.size());
+  for (const auto& [op, coin] : coins_.coins) {
     if (coin.coinbase &&
         chain.height() + 1 - coin.height < chain.params().coinbase_maturity) {
-      return true;
+      continue;
     }
-    return pool != nullptr && pool->spends(op);
-  });
+    if (pool != nullptr && pool->spends(op)) continue;
+    coins.emplace_back(op, coin);
+  }
   // Own unconfirmed outputs (change waiting in the mempool) are spendable
   // too — otherwise a wallet with one UTXO deadlocks on concurrent offers.
   if (pool != nullptr) {

@@ -8,6 +8,7 @@
 
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "chain/blockchain.hpp"
@@ -37,9 +38,19 @@ class Wallet {
   const std::string& address() const noexcept { return address_; }
 
   /// Confirmed, mature coins owned by this wallet and not already spent by
-  /// an in-pool transaction (when a pool is supplied). Sorted value-desc.
+  /// an in-pool transaction (when a pool is supplied), plus own outputs of
+  /// in-pool transactions. Sorted value-desc, equal values by outpoint.
+  /// Costs O(own coins + pool): the wallet keeps its confirmed coins in a
+  /// private cache synced against `chain` on each call — block by block
+  /// while the chain only extends from the synced tip, by one UTXO walk on
+  /// first use, for a different chain, or once the synced tip has left the
+  /// active chain. Not safe to call on one wallet from two threads.
   std::vector<std::pair<OutPoint, Coin>> spendable(
       const Blockchain& chain, const Mempool* pool = nullptr) const;
+
+  /// Full UTXO walks the coin cache has made (first use, chain switches,
+  /// reorgs past the synced tip).
+  std::uint64_t coin_rebuilds() const noexcept { return coins_.rebuilds; }
 
   Amount balance(const Blockchain& chain, const Mempool* pool = nullptr) const;
 
@@ -94,6 +105,8 @@ class Wallet {
     std::vector<std::pair<OutPoint, Coin>> inputs;
     Amount total = 0;
   };
+  /// Bring the coin cache to `chain`'s tip.
+  void sync_coins(const Blockchain& chain) const;
   /// Greedy selection of at least `target` value.
   std::optional<Funding> select_coins(const Blockchain& chain,
                                       const Mempool* pool,
@@ -107,6 +120,17 @@ class Wallet {
   script::PubKeyHash pkh_;
   std::string address_;
   script::Script own_script_;
+
+  // Confirmed coins paying own_script_ as of the active-chain block `tip`
+  // at `height` of `chain` (height -1: never synced).
+  struct CoinCache {
+    const Blockchain* chain = nullptr;
+    int height = -1;
+    Hash256 tip{};
+    std::unordered_map<OutPoint, Coin, OutPointHasher> coins;
+    std::uint64_t rebuilds = 0;
+  };
+  mutable CoinCache coins_;
 };
 
 }  // namespace bcwan::chain

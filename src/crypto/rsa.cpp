@@ -59,6 +59,41 @@ bool fill_crt_fields(RsaPrivateKey& key, BigUint p, BigUint q) {
   return true;
 }
 
+// floor(sqrt(a)) by Newton's iteration from above.
+BigUint isqrt(const BigUint& a) {
+  if (a.is_zero()) return a;
+  BigUint x = BigUint(1) << ((a.bit_length() + 1) / 2);
+  for (;;) {
+    BigUint y = (x + a / x) >> 1;
+    if (BigUint::compare(y, x) >= 0) return x;
+    x = std::move(y);
+  }
+}
+
+// The deterministic split for d = e^-1 mod phi(n), which is how
+// rsa_generate picks d: e*d - 1 = k * phi(n) with k < e, and
+// phi(n) = n - (p + q) + 1 sits just below n, so k = floor((e*d - 1)/n) + 1
+// (whenever k * (p + q - 1) < n, true for any real modulus). Then p and q
+// are the roots of x^2 - (p + q) x + n. A few divisions and one integer
+// square root, against the exponentiations of the square-root walk. False
+// when (n, e, d) is not of that form (d taken mod lambda(n), or
+// inconsistent material); fill_crt_fields validates any split found.
+bool split_from_phi(RsaPrivateKey& key) {
+  const BigUint& n = key.n;
+  const BigUint ed1 = key.e * key.d - BigUint(1);
+  const BigUint k = ed1 / n + BigUint(1);
+  const auto [phi, rest] = BigUint::divmod(ed1, k);
+  if (!rest.is_zero() || BigUint::compare(phi, n) >= 0) return false;
+  const BigUint sum = n - phi + BigUint(1);  // p + q
+  const BigUint sum_sq = sum * sum;
+  const BigUint four_n = n << 2;
+  if (BigUint::compare(sum_sq, four_n) <= 0) return false;
+  const BigUint diff_sq = sum_sq - four_n;  // (p - q)^2
+  const BigUint diff = isqrt(diff_sq);
+  if (!(diff * diff == diff_sq)) return false;
+  return fill_crt_fields(key, (sum + diff) >> 1, (sum - diff) >> 1);
+}
+
 struct CrtParams {
   BigUint p, q, dp, dq, qinv;
 };
@@ -324,6 +359,7 @@ bool rsa_crt_recover(RsaPrivateKey& key) {
   if (n.is_zero() || n.is_even() || key.e.is_zero() || key.d.is_zero())
     return false;
   if (n.bit_length() < 16) return false;  // smaller than any real modulus
+  if (split_from_phi(key)) return true;
   // e*d - 1 is a multiple of lambda(n), so for any base g, g^(e*d-1) == 1
   // (mod n). Walking the square-root chain of that unity (write
   // e*d - 1 = 2^s * t, t odd) finds a square root of 1 other than +-1 with

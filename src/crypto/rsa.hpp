@@ -99,9 +99,11 @@ bool rsa_verify(const RsaPublicKey& pub, util::ByteView message,
 /// values, plus modulus equality.
 bool rsa_pair_matches(const RsaPublicKey& pub, const RsaPrivateKey& priv);
 
-/// Recover the CRT parameters of `key` from (n, e, d) by factoring n —
-/// the standard probabilistic reduction (square roots of 1 along the
-/// e*d - 1 = 2^s * t chain), run over a fixed deterministic base list.
+/// Recover the CRT parameters of `key` from (n, e, d) by factoring n:
+/// first the closed-form split that holds when d = e^-1 mod phi(n) (as
+/// rsa_generate picks it), else the standard probabilistic reduction
+/// (square roots of 1 along the e*d - 1 = 2^s * t chain), run over a fixed
+/// deterministic base list.
 /// Returns true and fills p/q/dp/dq/qinv on success; leaves the key
 /// untouched (and returns false) when the key material is inconsistent.
 /// Used to re-arm CRT on deserialized keys (on-chain reveals, gateway

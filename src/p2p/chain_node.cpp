@@ -106,19 +106,13 @@ chain::MempoolAcceptResult ChainNode::submit_tx(const Transaction& tx) {
 
 chain::AcceptBlockResult ChainNode::submit_block(const Block& block) {
   if (crashed_) return chain::AcceptBlockResult::kInvalid;
+  const int old_height = chain_.height();
   const auto result = chain_.accept_block(block);
   if (result == chain::AcceptBlockResult::kConnected ||
       result == chain::AcceptBlockResult::kReorganized) {
     seen_blocks_.insert(block.hash());
     ++blocks_seen_;
-    mempool_.remove_confirmed(block);
-    if (result == chain::AcceptBlockResult::kReorganized) {
-      resurrect_disconnected();
-      for (const auto& watcher : reorg_watchers_)
-        watcher(chain_.last_fork_height());
-    }
-    for (const auto& watcher : block_watchers_) watcher(block);
-    if (store_) store_->maybe_snapshot(chain_);
+    on_chain_advanced(block, old_height, result);
     relay_block(block);
   }
   return result;
@@ -152,13 +146,61 @@ void ChainNode::handle_message(const Message& msg) {
   if (app_handler_) app_handler_(msg);
 }
 
-void ChainNode::accept_gossip_tx(const Transaction& tx) {
-  // Already known: pooled or confirmed on the active chain. (No separate
-  // seen-set: it would grow by a hash-table node per transaction forever.)
+void ChainNode::on_chain_advanced(const Block& block, int old_height,
+                                  chain::AcceptBlockResult result) {
+  const bool reorganized = result == chain::AcceptBlockResult::kReorganized;
+  const int fork = reorganized ? chain_.last_fork_height() : old_height;
+  // Orphan descendants may have joined behind `block`, and a reorg's
+  // winning branch has more blocks than its tip: read those from the chain.
+  const chain::Hash256 hash = block.hash();
+  std::vector<Block> read;
+  std::vector<const Block*> joined;
+  read.reserve(static_cast<std::size_t>(chain_.height() - fork));
+  for (int h = fork + 1; h <= chain_.height(); ++h) {
+    if (chain_.active_chain()[static_cast<std::size_t>(h)] == hash) {
+      joined.push_back(&block);
+    } else {
+      read.push_back(*chain_.block_at(h));
+      joined.push_back(&read.back());
+    }
+  }
+  for (const Block* b : joined) mempool_.remove_confirmed(*b);
+  if (reorganized) {
+    resurrect_disconnected();
+    for (const auto& watcher : reorg_watchers_) watcher(fork);
+  }
+  for (const Block* b : joined) {
+    for (const auto& watcher : block_watchers_) watcher(*b);
+  }
+  if (store_) store_->maybe_snapshot(chain_);
+}
+
+bool ChainNode::known_tx(const Transaction& tx) const {
+  // No per-transaction index or seen-set: either would grow by a node per
+  // transaction forever. A confirmed tx whose outputs are all spent is
+  // validated again, fails on its spent inputs and is parked until the
+  // orphan cap evicts it. Txids are unique (BIP34), so a live output names
+  // its tx.
   const chain::Hash256 txid = tx.txid();
-  int confirmations = 0;
-  if (mempool_.contains(txid) || chain_.tx_confirmations(txid, confirmations))
-    return;
+  if (mempool_.contains(txid)) return true;
+  for (std::uint32_t v = 0; v < tx.vout.size(); ++v) {
+    if (chain_.utxo().contains(chain::OutPoint{txid, v})) return true;
+  }
+  return false;
+}
+
+void ChainNode::park_orphan_tx(const Transaction& tx) {
+  const chain::Hash256 txid = tx.txid();
+  for (const Transaction& orphan : orphan_txs_) {
+    if (orphan.txid() == txid) return;
+  }
+  if (orphan_txs_.size() == kMaxOrphanTxs)
+    orphan_txs_.erase(orphan_txs_.begin());
+  orphan_txs_.push_back(tx);
+}
+
+void ChainNode::accept_gossip_tx(const Transaction& tx) {
+  if (known_tx(tx)) return;
   // Charge validation CPU: everything behind this message waits.
   net_.stall(host_, config_.tx_processing);
   const auto result = mempool_.accept(tx, chain_.utxo(), chain_.height() + 1);
@@ -166,9 +208,8 @@ void ChainNode::accept_gossip_tx(const Transaction& tx) {
     // Gossip can reorder a chain of unconfirmed spends; park the child
     // until its parent shows up.
     if (result.error == chain::MempoolError::kInvalid &&
-        result.validation.error == chain::TxError::kMissingInput &&
-        orphan_txs_.size() < 1000) {
-      orphan_txs_.push_back(tx);
+        result.validation.error == chain::TxError::kMissingInput) {
+      park_orphan_tx(tx);
     }
     return;
   }
@@ -224,6 +265,7 @@ void ChainNode::accept_gossip_block(const Block& block, HostId from) {
     net_.stall(host_, util::from_seconds(stall_s));
   }
 
+  const int old_height = chain_.height();
   const auto result = chain_.accept_block(block);
   if (result == chain::AcceptBlockResult::kInvalid ||
       result == chain::AcceptBlockResult::kDuplicate) {
@@ -235,14 +277,7 @@ void ChainNode::accept_gossip_block(const Block& block, HostId from) {
   }
   if (result == chain::AcceptBlockResult::kConnected ||
       result == chain::AcceptBlockResult::kReorganized) {
-    mempool_.remove_confirmed(block);
-    if (result == chain::AcceptBlockResult::kReorganized) {
-      resurrect_disconnected();
-      for (const auto& watcher : reorg_watchers_)
-        watcher(chain_.last_fork_height());
-    }
-    for (const auto& watcher : block_watchers_) watcher(block);
-    if (store_) store_->maybe_snapshot(chain_);
+    on_chain_advanced(block, old_height, result);
     drain_orphan_txs();
   }
   if (result == chain::AcceptBlockResult::kOrphan) {

@@ -44,6 +44,12 @@ struct ChainNodeConfig {
   std::uint64_t snapshot_interval = 16;
 };
 
+/// Gossiped transactions whose inputs are not yet known are parked, as
+/// Bitcoin Core's orphanage does; the oldest is evicted beyond this. A
+/// confirmed tx whose outputs are all spent looks the same (its inputs are
+/// gone), so re-gossip of old history lands here too and must age out.
+inline constexpr std::size_t kMaxOrphanTxs = 100;
+
 class ChainNode {
  public:
   /// Transport-agnostic form: `net` is either the SimNet backend or a real
@@ -81,23 +87,29 @@ class ChainNode {
     tx_watchers_.push_back(std::move(watcher));
   }
 
-  /// Fires whenever a block joins the active chain here.
+  /// Fires for every block that joins the active chain here, in height
+  /// order, once the accept that connected it (with any orphan descendants
+  /// it released) has finished: the chain may already be taller.
   void add_block_watcher(std::function<void(const chain::Block&)> watcher) {
     block_watchers_.push_back(std::move(watcher));
   }
 
-  /// Fires after a reorganization completed on this node: the losing branch
-  /// is disconnected and its transactions resurrected before the call.
+  /// Fires after a reorganization completed on this node, including one
+  /// completed by orphan descendants of a side-chain block: the losing
+  /// branch is disconnected and its transactions resurrected before the
+  /// call.
   /// Chain-derived caches (the gateway directory) must resync here —
   /// anything ingested from a disconnected block would otherwise survive
-  /// with a dead height. Runs before the block watchers for the winning tip.
+  /// with a dead height. Runs before the block watchers for the winning
+  /// branch.
   void add_reorg_watcher(std::function<void()> watcher) {
     reorg_watchers_.push_back(
         [w = std::move(watcher)](int /*fork_height*/) { w(); });
   }
 
   /// Reorg watcher that also learns the fork height — the height of the
-  /// last block common to both branches (chain().last_fork_height()).
+  /// last block common to the chains before and after the accept
+  /// (chain().last_fork_height()).
   /// Indexed caches unwind to this height instead of rescanning.
   void add_reorg_watcher(std::function<void(int)> watcher) {
     reorg_watchers_.push_back(std::move(watcher));
@@ -120,6 +132,9 @@ class ChainNode {
   }
 
   std::uint64_t txs_seen() const noexcept { return txs_seen_; }
+  /// Gossiped transactions parked for a missing input (at most
+  /// kMaxOrphanTxs).
+  std::size_t orphan_tx_count() const noexcept { return orphan_txs_.size(); }
   std::uint64_t blocks_seen() const noexcept { return blocks_seen_; }
   /// Headers-first-style catch-up requests issued / blocks served to peers.
   std::uint64_t sync_requests() const noexcept { return sync_requests_; }
@@ -158,6 +173,15 @@ class ChainNode {
   void relay_tx(const chain::Transaction& tx);
   void relay_block(const chain::Block& block);
   void accept_gossip_tx(const chain::Transaction& tx);
+  /// In the pool or with an output still unspent.
+  bool known_tx(const chain::Transaction& tx) const;
+  /// Bookkeeping after accepting `block` moved the active chain (`result`
+  /// kConnected or kReorganized; the tip was at `old_height`): every block
+  /// that joined it leaves the pool, then the watchers run.
+  void on_chain_advanced(const chain::Block& block, int old_height,
+                         chain::AcceptBlockResult result);
+  /// Park a tx whose inputs are unknown, once, evicting the oldest.
+  void park_orphan_tx(const chain::Transaction& tx);
   void accept_gossip_block(const chain::Block& block, HostId from);
   void drain_orphan_txs();
   /// Re-accept and relay the losing branch's transactions after a reorg.
@@ -188,8 +212,8 @@ class ChainNode {
   std::vector<std::function<void()>> restart_watchers_;
   std::unordered_set<chain::Hash256, chain::Hash256Hasher> seen_blocks_;
   // Transactions whose inputs are not yet known (gossip reordered a chain
-  // of unconfirmed spends); retried after every tx/block acceptance, as
-  // Bitcoin's mapOrphanTransactions does.
+  // of unconfirmed spends), oldest first; retried after every tx/block
+  // acceptance, as Bitcoin's mapOrphanTransactions does.
   std::vector<chain::Transaction> orphan_txs_;
   bool draining_orphans_ = false;
   util::SimTime last_sync_request_ = -(1 << 30);

@@ -1,9 +1,11 @@
 #include "sim/invariants.hpp"
 
-#include <map>
+#include <algorithm>
 #include <unordered_map>
+#include <vector>
 
 #include "crypto/rsa.hpp"
+#include "crypto/sha256.hpp"
 #include "script/templates.hpp"
 #include "util/bytes.hpp"
 
@@ -35,18 +37,15 @@ InvariantReport check_chain_invariants(const chain::Blockchain& chain) {
   }
 
   // Settlement uniqueness. Walk the active chain once, collecting every
-  // Listing-1 offer output and every spend of one.
+  // Listing-1 offer output and every spend of one. The walk covers a
+  // daemon's whole history, so an offer is kept compactly: its outpoint and
+  // a digest of its ephemeral key.
   struct OfferInfo {
-    std::string ephemeral_hex;
+    crypto::Digest256 ephemeral{};  // SHA-256 of the serialized ePk
     int spends = 0;
     bool redeemed = false;
   };
-  std::map<std::pair<std::string, std::uint32_t>, OfferInfo> offers;
-  const auto offer_key = [](const chain::OutPoint& op) {
-    return std::make_pair(util::to_hex(util::ByteView(op.txid.data(),
-                                                      op.txid.size())),
-                          op.index);
-  };
+  std::unordered_map<chain::OutPoint, OfferInfo, chain::OutPointHasher> offers;
   for (int h = 0; h <= chain.height(); ++h) {
     const auto block = chain.block_at(h);
     if (!block) continue;
@@ -56,13 +55,11 @@ InvariantReport check_chain_invariants(const chain::Blockchain& chain) {
         const auto classified = script::classify(tx.vout[v].script_pubkey);
         if (classified.type != script::ScriptType::kKeyRelease) continue;
         if (!classified.ephemeral_pub) continue;
-        OfferInfo info;
-        info.ephemeral_hex =
-            util::to_hex(classified.ephemeral_pub->serialize());
-        offers[offer_key(chain::OutPoint{txid, v})] = std::move(info);
+        offers[chain::OutPoint{txid, v}] =
+            OfferInfo{crypto::sha256(classified.ephemeral_pub->serialize())};
       }
       for (const chain::TxIn& in : tx.vin) {
-        const auto it = offers.find(offer_key(in.prevout));
+        const auto it = offers.find(in.prevout);
         if (it == offers.end()) continue;
         ++it->second.spends;
         if (script::extract_revealed_key(in.script_sig))
@@ -70,21 +67,32 @@ InvariantReport check_chain_invariants(const chain::Blockchain& chain) {
       }
     }
   }
-  std::unordered_map<std::string, int> redeems_per_key;
-  for (const auto& [key, info] : offers) {
-    if (info.spends > 1) {
-      report.violations.push_back("offer " + key.first + ":" +
-                                  std::to_string(key.second) +
-                                  " spent more than once in active chain");
-    }
-    if (info.redeemed) ++redeems_per_key[info.ephemeral_hex];
+  std::vector<chain::OutPoint> double_spent;
+  std::vector<crypto::Digest256> redeemed_keys;
+  for (const auto& [op, info] : offers) {
+    if (info.spends > 1) double_spent.push_back(op);
+    if (info.redeemed) redeemed_keys.push_back(info.ephemeral);
   }
-  for (const auto& [ephemeral, count] : redeems_per_key) {
-    if (count > 1) {
+  std::sort(double_spent.begin(), double_spent.end(),
+            [](const chain::OutPoint& a, const chain::OutPoint& b) {
+              return a.txid != b.txid ? a.txid < b.txid : a.index < b.index;
+            });
+  for (const chain::OutPoint& op : double_spent) {
+    report.violations.push_back(
+        "offer " + util::to_hex(util::ByteView(op.txid.data(), op.txid.size())) +
+        ":" + std::to_string(op.index) + " spent more than once in active chain");
+  }
+  std::sort(redeemed_keys.begin(), redeemed_keys.end());
+  for (std::size_t i = 0; i < redeemed_keys.size();) {
+    std::size_t j = i + 1;
+    while (j < redeemed_keys.size() && redeemed_keys[j] == redeemed_keys[i]) ++j;
+    if (j - i > 1) {
       report.violations.push_back(
-          "ephemeral key " + ephemeral.substr(0, 16) + "... settled " +
-          std::to_string(count) + " times (double pay)");
+          "ephemeral key " +
+          util::to_hex(util::ByteView(redeemed_keys[i].data(), 8)) +
+          "... settled " + std::to_string(j - i) + " times (double pay)");
     }
+    i = j;
   }
   return report;
 }
@@ -92,15 +100,16 @@ InvariantReport check_chain_invariants(const chain::Blockchain& chain) {
 SettlementTally check_settlement_invariants(const chain::Blockchain& chain,
                                             InvariantReport& report) {
   SettlementTally tally;
-  struct Offer {
-    script::ClassifiedScript meta;
-    std::string label;
-    bool spent = false;
-  };
-  std::map<std::pair<std::string, std::uint32_t>, Offer> offers;
-  const auto offer_key = [](const chain::OutPoint& op) {
-    return std::make_pair(
-        util::to_hex(util::ByteView(op.txid.data(), op.txid.size())), op.index);
+  // Open offers only: an offer leaves the map at its first spend (a later
+  // spend of it is the uniqueness check's to flag), so the walk holds what
+  // is in flight, not the whole history.
+  std::unordered_map<chain::OutPoint, script::ClassifiedScript,
+                     chain::OutPointHasher>
+      offers;
+  const auto label = [](const chain::OutPoint& op) {
+    return util::to_hex(util::ByteView(op.txid.data(), op.txid.size()))
+               .substr(0, 16) +
+           ":" + std::to_string(op.index);
   };
   const auto pays_hash = [](const chain::Transaction& tx,
                             const script::PubKeyHash& pkh) {
@@ -121,19 +130,15 @@ SettlementTally check_settlement_invariants(const chain::Blockchain& chain,
         const auto classified = script::classify(tx.vout[v].script_pubkey);
         if (classified.type != script::ScriptType::kKeyRelease) continue;
         if (!classified.ephemeral_pub) continue;
-        Offer offer;
-        offer.meta = classified;
-        const auto key = offer_key(chain::OutPoint{txid, v});
-        offer.label = key.first.substr(0, 16) + ":" + std::to_string(v);
-        offers[key] = std::move(offer);
+        offers[chain::OutPoint{txid, v}] = classified;
         ++tally.offers;
       }
       for (const chain::TxIn& in : tx.vin) {
-        const auto it = offers.find(offer_key(in.prevout));
+        const auto it = offers.find(in.prevout);
         if (it == offers.end()) continue;
-        Offer& offer = it->second;
-        if (offer.spent) continue;  // double-spend flagged by uniqueness check
-        offer.spent = true;
+        const chain::OutPoint offer = it->first;
+        const script::ClassifiedScript meta = std::move(it->second);
+        offers.erase(it);
         const auto revealed = script::extract_revealed_key(in.script_sig);
         if (revealed) {
           ++tally.redeemed;
@@ -141,28 +146,27 @@ SettlementTally check_settlement_invariants(const chain::Blockchain& chain,
           // offer's ePk took the money without releasing the real key.
           // OP_CHECKRSA512PAIR makes this unconfirmable; seeing one on the
           // active chain means consensus validation is broken.
-          if (!crypto::rsa_pair_matches(*offer.meta.ephemeral_pub,
-                                        *revealed)) {
-            report.violations.push_back("offer " + offer.label +
+          if (!crypto::rsa_pair_matches(*meta.ephemeral_pub, *revealed)) {
+            report.violations.push_back("offer " + label(offer) +
                                         " paid without matching reveal "
                                         "(garbled eSk confirmed)");
           }
-          if (!pays_hash(tx, offer.meta.pubkey_hash)) {
+          if (!pays_hash(tx, meta.pubkey_hash)) {
             report.violations.push_back(
-                "offer " + offer.label +
+                "offer " + label(offer) +
                 " redeem does not pay the revealing gateway");
           }
         } else {
           ++tally.reclaimed;
-          if (static_cast<std::int64_t>(h) < offer.meta.timeout_height) {
+          if (static_cast<std::int64_t>(h) < meta.timeout_height) {
             report.violations.push_back(
-                "offer " + offer.label + " reclaimed at height " +
+                "offer " + label(offer) + " reclaimed at height " +
                 std::to_string(h) + " before timeout " +
-                std::to_string(offer.meta.timeout_height));
+                std::to_string(meta.timeout_height));
           }
-          if (!pays_hash(tx, offer.meta.buyer_pubkey_hash)) {
+          if (!pays_hash(tx, meta.buyer_pubkey_hash)) {
             report.violations.push_back(
-                "offer " + offer.label +
+                "offer " + label(offer) +
                 " reclaim does not return funds to the buyer");
           }
         }

@@ -21,26 +21,6 @@ constexpr const char* kLogFileName = "blocks.log";
 /// Log record kind tag: a block with its hash and txids, the only kind.
 constexpr std::uint8_t kBlockRecordKind = 2;
 
-/// Transaction count of a logged block, read without decoding it: the
-/// varint after the header's fixed fields and its two var_bytes. 0 on
-/// malformed bytes (the full decode reports those).
-std::size_t record_tx_count(util::ByteView payload) {
-  try {
-    util::Reader r(payload);
-    r.view(2 + 32);  // kind, has_undo, block hash
-    util::Reader body(r.var_view());
-    body.view(4 + 32 + 32 + 8 + 4 + 4);
-    body.var_view();  // proposer_pubkey
-    body.var_view();  // pos_signature
-    const std::uint64_t txs = body.varint();
-    // Every tx takes at least a byte: a corrupt count cannot over-reserve.
-    return static_cast<std::size_t>(
-        std::min<std::uint64_t>(txs, body.remaining()));
-  } catch (const util::DeserializeError&) {
-    return 0;
-  }
-}
-
 void set_error(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = msg;
 }
@@ -296,14 +276,12 @@ std::unique_ptr<ChainStore> ChainStore::open(const chain::ChainParams& params,
   const auto t0 = std::chrono::steady_clock::now();
   std::uint64_t last_seq = 0;
   std::size_t pending_records = 0;
-  std::size_t pending_txs = 0;
   for (const RecordBounds& rb : scan.records) {
     last_seq = rb.seq;
     if (rb.seq < element_seq) continue;
     ++pending_records;
-    pending_txs += record_tx_count(scan.payload(rb));
   }
-  chain->reserve_for_replay(pending_records, pending_txs);
+  chain->reserve_for_replay(pending_records);
 
   for (const RecordBounds& rb : scan.records) {
     if (rb.seq < element_seq) continue;

@@ -313,6 +313,68 @@ TEST_F(FairExchangeApi, SellerIgnoresForeignOffers) {
   EXPECT_EQ(seller.state(), FairExchangeSeller::State::kAwaitingOffer);
 }
 
+TEST_F(FairExchangeApi, RedeemPrefilterKeepsClassifyVerdicts) {
+  // try_redeem decodes only outputs opening with its ePk push. On a
+  // matching offer, a foreign ePk, a foreign gateway hash and truncated
+  // scripts it must reach the verdict a classify of every output reaches.
+  const crypto::RsaKeyPair ephemeral = crypto::rsa_generate(rng, 512);
+  const crypto::RsaKeyPair other = crypto::rsa_generate(rng, 512);
+  const chain::Wallet stranger = chain::Wallet::from_seed("fx-stranger");
+  const auto classify_verdict = [&](const chain::Transaction& tx) {
+    for (const chain::TxOut& out : tx.vout) {
+      const auto c = script::classify(out.script_pubkey);
+      if (c.type == script::ScriptType::kKeyRelease &&
+          c.pubkey_hash == seller_wallet.pkh() && c.ephemeral_pub &&
+          *c.ephemeral_pub == ephemeral.pub) {
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto offer_tx = [&](const script::Script& lock) {
+    chain::Transaction tx;
+    tx.vin.emplace_back();
+    tx.vin[0].prevout.txid[0] = 0x42;
+    chain::TxOut change;
+    change.value = 7;
+    change.script_pubkey = script::make_p2pkh(buyer_wallet.pkh());
+    tx.vout.push_back(change);  // the offer rides in output 1
+    tx.vout.push_back(chain::TxOut{chain::kCoin, lock});
+    return tx;
+  };
+  const script::Script matching = script::make_key_release(
+      ephemeral.pub, seller_wallet.pkh(), buyer_wallet.pkh(), 200);
+  const util::Bytes& program = matching.bytes();
+  const util::Bytes epk_push = script::Script().push(ephemeral.pub.serialize()).bytes();
+  const std::vector<std::pair<const char*, script::Script>> cases = {
+      {"matching", matching},
+      {"foreign ePk", script::make_key_release(other.pub, seller_wallet.pkh(),
+                                               buyer_wallet.pkh(), 200)},
+      {"foreign gateway", script::make_key_release(ephemeral.pub,
+                                                   stranger.pkh(),
+                                                   buyer_wallet.pkh(), 200)},
+      {"truncated after the ePk push",
+       script::Script(util::Bytes(program.begin(),
+                                  program.begin() + static_cast<std::ptrdiff_t>(
+                                                        epk_push.size() + 3)))},
+      {"truncated inside the ePk push",
+       script::Script(util::Bytes(program.begin(), program.begin() + 20))},
+      {"one byte short", script::Script(util::Bytes(program.begin(),
+                                                    program.end() - 1))},
+  };
+  for (const auto& [name, lock] : cases) {
+    FairExchangeSeller seller(seller_wallet, ephemeral);
+    const chain::Transaction tx = offer_tx(lock);
+    const auto redeem = seller.try_redeem(tx, 500);
+    EXPECT_EQ(redeem.has_value(), classify_verdict(tx)) << name;
+    if (redeem) {
+      EXPECT_EQ(redeem->vin[0].prevout, (chain::OutPoint{tx.txid(), 1}));
+    }
+  }
+  FairExchangeSeller seller(seller_wallet, ephemeral);
+  EXPECT_TRUE(seller.try_redeem(offer_tx(matching), 500).has_value());
+}
+
 TEST_F(FairExchangeApi, BuyerRejectsWrongKeyReveal) {
   const crypto::RsaKeyPair ephemeral = crypto::rsa_generate(rng, 512);
   FairExchangeBuyer buyer(buyer_wallet, ephemeral.pub, seller_wallet.pkh(),

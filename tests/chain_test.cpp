@@ -200,7 +200,7 @@ TEST(Utxo, AddSpendLifecycle) {
   EXPECT_FALSE(set.spend(op).has_value());
 }
 
-TEST(Utxo, FindByScriptAndTotal) {
+TEST(Utxo, TotalValue) {
   UtxoSet set;
   const script::Script s = script::make_p2pkh(script::PubKeyHash{});
   for (std::uint32_t i = 0; i < 3; ++i) {
@@ -211,7 +211,7 @@ TEST(Utxo, FindByScriptAndTotal) {
   OutPoint other;
   other.txid[0] = 9;
   set.add(other, Coin{TxOut{5, {}}, 1, false});
-  EXPECT_EQ(set.find_by_script(s).size(), 3u);
+  EXPECT_EQ(set.size(), 4u);
   EXPECT_EQ(set.total_value(), 305);
 }
 
@@ -823,25 +823,6 @@ TEST(Mempool, SelectRespectsSizeBudget) {
   EXPECT_EQ(all.size(), 5u);
 }
 
-TEST(Blockchain, ConfirmationCountsGrow) {
-  Harness h;
-  h.fund();
-  const Wallet alice = Wallet::from_seed("alice");
-  const auto tx = h.miner_wallet.create_payment(h.chain, &h.pool, alice.pkh(),
-                                                kCoin, 1000);
-  ASSERT_TRUE(tx.has_value());
-  const Hash256 txid = tx->txid();
-  int confs = 0;
-  EXPECT_FALSE(h.chain.tx_confirmations(txid, confs));  // unconfirmed
-  ASSERT_TRUE(h.pool.accept(*tx, h.chain.utxo(), h.chain.height() + 1).ok());
-  h.mine_block();
-  ASSERT_TRUE(h.chain.tx_confirmations(txid, confs));
-  EXPECT_EQ(confs, 1);
-  h.mine_blocks(3);
-  ASSERT_TRUE(h.chain.tx_confirmations(txid, confs));
-  EXPECT_EQ(confs, 4);
-}
-
 TEST(Blockchain, BlockAtCoversActiveHeightsOnly) {
   Harness h;
   h.mine_blocks(6);
@@ -857,108 +838,38 @@ TEST(Blockchain, BlockAtCoversActiveHeightsOnly) {
   EXPECT_FALSE(h.chain.block_bytes_at(h.chain.height() + 1).has_value());
 }
 
-TEST(Blockchain, CopiedCoinbaseKeepsRecordedUndo) {
-  // Txids are not unique by consensus: a block may carry a verbatim copy of
-  // an earlier, already-spent coinbase. The undo of the block that spent
-  // the original must stay what connect_block recorded (the coin at its
-  // original height) through the copy's connect, its reorg-out, a snapshot,
-  // a delta, and a reorg that disconnects the spender.
+TEST(Blockchain, CopiedCoinbaseIsRejected) {
+  // A coinbase opens with its block's height (BIP34), so a block carrying a
+  // verbatim copy of an earlier coinbase never connects: txids stay unique,
+  // and neither a tx's undo nor its confirmation can be shadowed by a copy.
   Harness h;
-  std::map<Hash256, Bytes> logged;
-  h.chain.set_block_sink(
-      [&logged](const Block& b, util::ByteView, const Bytes* undo) {
-        if (undo != nullptr) logged[b.hash()] = *undo;
-        return std::optional<BlockPlacement>{};
-      });
-  const Mempool empty{h.params};
   h.fund();
-  Blockchain before_spend = h.chain;
-  before_spend.set_block_sink(nullptr);
-
-  const Wallet alice = Wallet::from_seed("alice");
-  const auto pay = h.miner_wallet.create_payment(h.chain, &h.pool, alice.pkh(),
-                                                 kCoin, 1000);
-  ASSERT_TRUE(pay.has_value());
-  ASSERT_TRUE(h.pool.accept(*pay, h.chain.utxo(), h.chain.height() + 1).ok());
-  h.mine_block();
-  const Hash256 spender = h.chain.tip_hash();
-  const OutPoint spent = pay->vin[0].prevout;
-  int origin = -1;
-  Transaction original;
-  for (int height = 1; height < h.chain.height(); ++height) {
-    const auto block = h.chain.block_at(height);
-    if (block->txs[0].txid() == spent.txid) {
-      origin = height;
-      original = block->txs[0];
-    }
-  }
-  ASSERT_GT(origin, 0);
-  const Bytes recorded = logged.at(spender);
-  const auto undo_bytes = [](const Blockchain& chain, const Hash256& hash) {
-    const auto undo = chain.undo_for(hash);
-    util::Writer w;
-    if (undo) write_undo(w, *undo);
-    return w.take();
-  };
-  ASSERT_EQ(undo_bytes(h.chain, spender), recorded);
-
-  // Base element at the spender; the copy and its reorg-out form a delta.
-  const Bytes base = h.chain.serialize_state();
-  const Hash256 anchor = h.chain.tip_hash();
-  const int anchor_height = h.chain.height();
-  h.chain.utxo_journal_begin();
-  Blockchain sibling = h.chain;
-  sibling.set_block_sink(nullptr);
-
-  Block copy = h.miner.assemble(h.chain, empty, ++h.now);
+  const Hash256 tip = h.chain.tip_hash();
+  const Transaction original = h.chain.block_at(1)->txs[0];
+  Block copy = h.miner.assemble(h.chain, h.pool, ++h.now);
   copy.txs[0] = original;
   copy.header.merkle_root = compute_merkle_root(copy.txs);
   ASSERT_TRUE(solve_pow(copy.header));
-  ASSERT_EQ(h.chain.accept_block(copy), AcceptBlockResult::kConnected);
-  EXPECT_EQ(undo_bytes(h.chain, spender), recorded);
+  EXPECT_EQ(h.chain.accept_block(copy), AcceptBlockResult::kInvalid);
+  EXPECT_EQ(h.chain.last_failure().error, BlockError::kBadCoinbaseHeight);
+  EXPECT_EQ(h.chain.tip_hash(), tip);
 
-  std::vector<Hash256> pending{copy.hash()};
-  for (std::uint64_t t = 100; t < 102; ++t) {
-    const Block b = h.miner.mine(sibling, empty, t);
-    ASSERT_EQ(sibling.accept_block(b), AcceptBlockResult::kConnected);
-    h.chain.accept_block(b);
-    pending.push_back(b.hash());
-  }
-  ASSERT_EQ(h.chain.tip_hash(), sibling.tip_hash());
-  EXPECT_EQ(undo_bytes(h.chain, spender), recorded);
-
-  const Bytes dump = h.chain.serialize_state();
-  const testutil::PayloadOnDisk dump_file(dump);
-  const auto restored =
-      Blockchain::restore_state(h.params, dump, dump_file.file());
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(undo_bytes(*restored, spender), recorded);
-
-  util::Writer delta;
-  ASSERT_TRUE(h.chain.write_state_delta(delta, 1, 2, anchor, anchor_height,
-                                        pending));
-  const testutil::PayloadOnDisk base_file(base);
-  auto from_delta = Blockchain::restore_state(h.params, base, base_file.file());
-  ASSERT_TRUE(from_delta.has_value());
-  const auto decoded = decode_state_delta(delta.data());
-  ASSERT_TRUE(decoded.has_value());
-  const testutil::PayloadOnDisk delta_file(delta.data());
-  ASSERT_TRUE(from_delta->apply_state_delta(*decoded, delta_file.file()));
-  EXPECT_EQ(from_delta->state_hash(), h.chain.state_hash());
-  EXPECT_EQ(undo_bytes(*from_delta, spender), recorded);
-
-  // A longer branch from the spender's parent disconnects the spender: the
-  // spent coin comes back at the height that created it.
-  for (std::uint64_t t = 200; t < 204; ++t) {
-    const Block b = h.miner.mine(before_spend, empty, t);
-    ASSERT_EQ(before_spend.accept_block(b), AcceptBlockResult::kConnected);
-    h.chain.accept_block(b);
-  }
-  ASSERT_EQ(h.chain.tip_hash(), before_spend.tip_hash());
-  const auto coin = h.chain.utxo().get(spent);
-  ASSERT_TRUE(coin.has_value());
-  EXPECT_EQ(coin->height, origin);
-  EXPECT_EQ(h.chain.state_hash(), before_spend.state_hash());
+  // Nor as the block that would win a reorg: the branch is refused and the
+  // old chain stays active.
+  Blockchain fork_base(h.params);
+  for (int height = 1; height < h.chain.height(); ++height)
+    ASSERT_EQ(fork_base.accept_block(*h.chain.block_at(height)),
+              AcceptBlockResult::kConnected);
+  const Mempool empty{h.params};
+  const Block sibling = h.miner.mine(fork_base, empty, 500);
+  ASSERT_EQ(fork_base.accept_block(sibling), AcceptBlockResult::kConnected);
+  Block bad = h.miner.assemble(fork_base, empty, 501);
+  bad.txs[0] = original;
+  bad.header.merkle_root = compute_merkle_root(bad.txs);
+  ASSERT_TRUE(solve_pow(bad.header));
+  EXPECT_EQ(h.chain.accept_block(sibling), AcceptBlockResult::kSideChain);
+  EXPECT_EQ(h.chain.accept_block(bad), AcceptBlockResult::kInvalid);
+  EXPECT_EQ(h.chain.tip_hash(), tip);
 }
 
 TEST(ChainSupply, UtxoValueNeverExceedsIssuance) {
@@ -1315,23 +1226,78 @@ TEST(Validation, ScriptExecCacheSkipsReExecution) {
   Harness h;
   const Block block = assemble_payment_block(h, 3);
   const int height = h.chain.height() + 1;
+  const std::size_t txs = block.txs.size() - 1;
+  ASSERT_GT(txs, 0u);
 
+  // Mempool admission executes every script and remembers each txid.
   sig_cache().clear();
   script_exec_cache().clear();
+  Mempool pool{h.params};
+  for (std::size_t i = 1; i < block.txs.size(); ++i)
+    ASSERT_TRUE(pool.accept(block.txs[i], h.chain.utxo(), height).ok());
+  EXPECT_EQ(script_exec_cache().size(), txs);
+
+  // The block of admitted txs skips execution entirely, and its connect
+  // consumes the entries: the cache holds no confirmed tx.
   UtxoSet u1 = h.chain.utxo();
   BlockUndo undo1;
   ASSERT_TRUE(connect_block(block, u1, height, h.params, undo1).ok());
-  const std::uint64_t misses_first = script_exec_cache().misses();
-  EXPECT_GT(misses_first, 0u);
+  EXPECT_EQ(script_exec_cache().hits(), txs);
+  EXPECT_EQ(script_exec_cache().size(), 0u);
+  EXPECT_TRUE(sig_cache().size() == 0u);  // no signature was checked
 
-  // Re-connecting the same block (a reorg replay) hits the cache for every
-  // transaction and still yields the same state.
+  // Connecting the same block again (a reorg replay) executes its scripts
+  // and inserts nothing, with the same resulting state.
+  const std::uint64_t misses = script_exec_cache().misses();
   UtxoSet u2 = h.chain.utxo();
   BlockUndo undo2;
   ASSERT_TRUE(connect_block(block, u2, height, h.params, undo2).ok());
-  EXPECT_GT(script_exec_cache().hits(), 0u);
+  EXPECT_EQ(script_exec_cache().misses(), misses + txs);
+  EXPECT_EQ(script_exec_cache().size(), 0u);
+  EXPECT_GT(sig_cache().size(), 0u);
   EXPECT_EQ(u1.size(), u2.size());
   EXPECT_EQ(u1.total_value(), u2.total_value());
+}
+
+TEST(Validation, CoinbaseMustPushHeight) {
+  Harness h;
+  h.mine_blocks(20);  // past OP_1..OP_16: the push is a real data push
+  const int height = h.chain.height() + 1;
+  const Block mined = h.miner.mine(h.chain, h.pool, ++h.now);
+  const auto with_tag = [&](const script::Script& tag) {
+    Block block = mined;
+    block.txs[0].vin[0].script_sig = tag;
+    block.txs[0].invalidate_txid();
+    block.header.merkle_root = compute_merkle_root(block.txs);
+    EXPECT_TRUE(solve_pow(block.header));
+    return block;
+  };
+  const auto verdict = [&](const Block& block) {
+    UtxoSet utxo = h.chain.utxo();
+    BlockUndo undo;
+    return connect_block(block, utxo, height, h.params, undo).error;
+  };
+
+  script::Script missing;
+  missing.push(str_bytes("no height here"));
+  script::Script wrong;
+  wrong.push_int(height - 1);
+  script::Script truncated(util::Bytes{mined.txs[0].vin[0].script_sig.bytes()[0]});
+  for (const script::Script& tag : {missing, wrong, truncated, script::Script()}) {
+    const Block bad = with_tag(tag);
+    EXPECT_EQ(verdict(bad), BlockError::kBadCoinbaseHeight)
+        << tag.disassemble();
+    EXPECT_EQ(h.chain.accept_block(bad), AcceptBlockResult::kInvalid);
+  }
+
+  // Anything may follow the height push (an extranonce, a tag).
+  script::Script extended;
+  extended.push_int(height).push(str_bytes("extranonce"));
+  EXPECT_EQ(verdict(with_tag(extended)), BlockError::kOk);
+
+  // Miner blocks carry exactly the push, at every height.
+  EXPECT_EQ(verdict(mined), BlockError::kOk);
+  EXPECT_EQ(h.chain.accept_block(mined), AcceptBlockResult::kConnected);
 }
 
 }  // namespace

@@ -505,6 +505,23 @@ TEST_F(RsaFixture, CrtRecoveryFromWireKey) {
               (key.p == orig.q && key.q == orig.p));
   // Recovery is idempotent.
   EXPECT_TRUE(rsa_crt_recover(key));
+
+  // d taken mod lambda(n) = lcm(p-1, q-1), as other RSA stacks emit it:
+  // e*d - 1 is then no multiple of phi(n), so the closed-form split cannot
+  // apply and recovery takes the square-root walk.
+  using bignum::BigUint;
+  const BigUint p1 = orig.p - BigUint(1);
+  const BigUint q1 = orig.q - BigUint(1);
+  const BigUint lambda = p1 * q1 / BigUint::gcd(p1, q1);
+  RsaPrivateKey reduced = *wire;
+  reduced.d = orig.d % lambda;
+  ASSERT_FALSE(
+      ((reduced.e * reduced.d - BigUint(1)) % (p1 * q1)).is_zero());
+  EXPECT_TRUE(rsa_pair_matches(pair512().pub, reduced));
+  ASSERT_TRUE(rsa_crt_recover(reduced));
+  EXPECT_TRUE((reduced.p == orig.p && reduced.q == orig.q) ||
+              (reduced.p == orig.q && reduced.q == orig.p));
+  EXPECT_TRUE(rsa_pair_matches(pair512().pub, reduced));  // via its CRT
 }
 
 TEST_F(RsaFixture, WireKeyOpsMatchGeneratedKeyUnderCrt) {

@@ -9,6 +9,7 @@
 #include "chain/miner.hpp"
 #include "chain/wallet.hpp"
 #include "p2p/chain_node.hpp"
+#include "p2p/confirmations.hpp"
 #include "p2p/event_loop.hpp"
 #include "p2p/framing.hpp"
 #include "p2p/network.hpp"
@@ -498,6 +499,228 @@ TEST(ChainNode, AppMessagesRouted) {
              Message{"DELIVER", util::str_bytes("hi"), -1});
   h.loop.run();
   EXPECT_EQ(seen_type, "DELIVER");
+}
+
+// -- Known-tx check and confirmation tracking (no tx index in the chain). --
+
+// Node `n` pays `to` one whole matured coinbase (less the fee): a tx with
+// one output and no change. The tx reaches every mempool.
+chain::Transaction gossip_payment(GossipHarness& h, int n,
+                                  const chain::Wallet& from,
+                                  const script::PubKeyHash& to) {
+  const chain::Amount whole = from.spendable(h.nodes[n]->chain())
+                                  .front()
+                                  .second.out.value;
+  const auto tx = from.create_payment(h.nodes[n]->chain(),
+                                      &h.nodes[n]->mempool(), to,
+                                      whole - 1000, 1000);
+  EXPECT_TRUE(tx.has_value());
+  EXPECT_EQ(tx->vout.size(), 1u);
+  EXPECT_TRUE(h.nodes[n]->submit_tx(*tx).ok());
+  h.loop.run();
+  return *tx;
+}
+
+// `count` empty blocks on the first `fork` blocks of `base`'s active chain.
+std::vector<chain::Block> branch_from(GossipHarness& h,
+                                      const chain::Blockchain& base, int fork,
+                                      int count, std::uint64_t time) {
+  chain::Blockchain branch(h.params);
+  for (int height = 1; height <= fork; ++height)
+    EXPECT_EQ(branch.accept_block(*base.block_at(height)),
+              chain::AcceptBlockResult::kConnected);
+  const chain::Mempool empty(h.params);
+  std::vector<chain::Block> blocks;
+  for (int i = 0; i < count; ++i) {
+    blocks.push_back(h.miner.mine(branch, empty, time + i));
+    EXPECT_EQ(branch.accept_block(blocks.back()),
+              chain::AcceptBlockResult::kConnected);
+  }
+  return blocks;
+}
+
+TEST(ChainNode, ConfirmedTxGossipIsKnownWithoutTxIndex) {
+  GossipHarness h(2);
+  ChainNode& node = *h.nodes[1];
+  const auto mine = [&] {
+    h.mine_and_submit(0);
+    h.loop.run();
+  };
+  // Replace the tip block with two empty ones: a reorg.
+  std::uint64_t branch_time = 1000;
+  const auto reorg = [&] {
+    const int tip = node.chain().height();
+    for (const chain::Block& b :
+         branch_from(h, node.chain(), tip - 1, 2, branch_time += 10)) {
+      node.submit_block(b);
+    }
+    h.loop.run();
+    ASSERT_EQ(node.chain().height(), tip + 1);
+  };
+  const auto costs_validation = [&](const chain::Transaction& t) {
+    const util::SimTime before = h.net.busy_until(node.host());
+    node.handle_message(Message{"tx", t.serialize(), h.nodes[0]->host()});
+    return h.net.busy_until(node.host()) > before;
+  };
+  for (int i = 0; i < 3; ++i) mine();
+  const chain::Wallet alice = chain::Wallet::from_seed("alice");
+  const chain::Transaction tx =
+      gossip_payment(h, 0, h.miner_wallet, alice.pkh());
+  mine();
+  ASSERT_FALSE(node.mempool().contains(tx.txid()));
+
+  // Confirmed, and confirmed below a reorg's fork: its output is unspent,
+  // so it is known.
+  EXPECT_FALSE(costs_validation(tx));
+  mine();
+  reorg();
+  EXPECT_FALSE(costs_validation(tx));
+
+  // Once its output is spent, the old tx is validated again and fails on
+  // its spent input: it never reaches the pool, and it is parked once like
+  // a child whose parent is missing.
+  const chain::Wallet bob = chain::Wallet::from_seed("bob");
+  gossip_payment(h, 1, alice, bob.pkh());
+  mine();
+  ASSERT_FALSE(node.chain().utxo().contains(chain::OutPoint{tx.txid(), 0}));
+  EXPECT_TRUE(costs_validation(tx));
+  EXPECT_TRUE(costs_validation(tx));
+  EXPECT_FALSE(node.mempool().contains(tx.txid()));
+  EXPECT_EQ(node.orphan_tx_count(), 1u);
+
+  // Such txs age out oldest first: a pool full of unresolvable orphans
+  // still parks a reordered child and connects it when its parent comes.
+  for (std::uint8_t i = 0; i < kMaxOrphanTxs; ++i) {
+    chain::Transaction junk = tx;
+    junk.vin[0].prevout.txid[0] ^= 0x80;
+    junk.vin[0].prevout.txid[1] = i;
+    node.handle_message(Message{"tx", junk.serialize(), h.nodes[0]->host()});
+  }
+  h.loop.run();
+  EXPECT_EQ(node.orphan_tx_count(), kMaxOrphanTxs);
+  const chain::Transaction parent = *h.miner_wallet.create_payment(
+      node.chain(), &node.mempool(), alice.pkh(), 50'000, 1000);
+  chain::Mempool staged(h.params);
+  ASSERT_TRUE(
+      staged.accept(parent, node.chain().utxo(), node.chain().height() + 1)
+          .ok());
+  const chain::Transaction child =
+      *alice.create_payment(node.chain(), &staged, bob.pkh(), 10'000, 1000);
+  node.handle_message(Message{"tx", child.serialize(), h.nodes[0]->host()});
+  node.handle_message(Message{"tx", parent.serialize(), h.nodes[0]->host()});
+  h.loop.run();
+  EXPECT_TRUE(node.mempool().contains(parent.txid()));
+  EXPECT_TRUE(node.mempool().contains(child.txid()));
+  EXPECT_EQ(node.orphan_tx_count(), kMaxOrphanTxs - 1);
+}
+
+TEST(ChainNode, ChainMovesMadeByOrphanDescendantsAreReported) {
+  GossipHarness h(1);
+  ChainNode& node = *h.nodes[0];
+  for (int i = 0; i < 3; ++i) h.mine_and_submit(0);
+  TxConfirmations confs(node);
+  std::vector<chain::Hash256> joined;
+  std::vector<int> forks;
+  node.add_block_watcher(
+      [&](const chain::Block& b) { joined.push_back(b.hash()); });
+  node.add_reorg_watcher([&](int fork) { forks.push_back(fork); });
+  const auto gossip = [&](const chain::Block& b) {
+    node.handle_message(Message{"block", b.serialize(), node.host()});
+    h.loop.run();
+  };
+  const chain::Transaction tx = gossip_payment(
+      h, 0, h.miner_wallet, chain::Wallet::from_seed("alice").pkh());
+  confs.watch(tx.txid());
+
+  // Block 5, carrying the pooled payment, arrives before block 4: block 4
+  // connects and releases it. Both blocks are reported, in height order.
+  chain::Blockchain ahead = node.chain();
+  const chain::Mempool empty(h.params);
+  const chain::Block b4 = h.miner.mine(ahead, empty, 500);
+  ASSERT_EQ(ahead.accept_block(b4), chain::AcceptBlockResult::kConnected);
+  const chain::Block b5 = h.miner.mine(ahead, node.mempool(), 501);
+  ASSERT_EQ(b5.txs.size(), 2u);
+  gossip(b5);
+  EXPECT_EQ(node.chain().height(), 3);
+  gossip(b4);
+  ASSERT_EQ(node.chain().tip_hash(), b5.hash());
+  EXPECT_EQ(joined, (std::vector<chain::Hash256>{b4.hash(), b5.hash()}));
+  EXPECT_FALSE(node.mempool().contains(tx.txid()));
+  EXPECT_EQ(confs.confirmations(tx.txid()), 1);
+
+  // A side-chain block whose parked descendants complete a reorg: a branch
+  // forking at 3 whose blocks 5 and 6 arrive before its block 4. The reorg
+  // is reported with its fork and the payment goes back to the pool.
+  const std::vector<chain::Block> b = branch_from(h, node.chain(), 3, 3, 1000);
+  joined.clear();
+  gossip(b[1]);
+  gossip(b[2]);
+  gossip(b[0]);
+  ASSERT_EQ(node.chain().tip_hash(), b[2].hash());
+  EXPECT_EQ(forks, std::vector<int>{3});
+  EXPECT_EQ(joined, (std::vector<chain::Hash256>{b[0].hash(), b[1].hash(),
+                                                 b[2].hash()}));
+  EXPECT_TRUE(node.mempool().contains(tx.txid()));
+
+  // A second reorg forking above the first, at the height the payment once
+  // confirmed at: the payment is still unconfirmed, until it is mined.
+  for (const chain::Block& c : branch_from(h, node.chain(), 5, 2, 2000))
+    gossip(c);
+  ASSERT_EQ(node.chain().height(), 7);
+  EXPECT_EQ(forks, (std::vector<int>{3, 5}));
+  EXPECT_FALSE(confs.confirmations(tx.txid()).has_value());
+  ASSERT_TRUE(node.mempool().contains(tx.txid()));
+  h.mine_and_submit(0);
+  EXPECT_EQ(confs.confirmations(tx.txid()), 1);
+}
+
+TEST(TxConfirmations, CountsGrowAndFollowReorgAndRestart) {
+  GossipHarness h(1);
+  ChainNode& node = *h.nodes[0];
+  for (int i = 0; i < 3; ++i) h.mine_and_submit(0);
+  TxConfirmations confs(node);
+  const chain::Wallet alice = chain::Wallet::from_seed("alice");
+  const chain::Transaction tx =
+      gossip_payment(h, 0, h.miner_wallet, alice.pkh());
+  const chain::Hash256 txid = tx.txid();
+  confs.watch(txid);
+  EXPECT_FALSE(confs.confirmations(txid).has_value());  // pooled only
+
+  h.mine_and_submit(0);
+  const int confirmed_at = node.chain().height();
+  ASSERT_EQ(confs.confirmations(txid), 1);
+  h.mine_and_submit(0);
+  h.mine_and_submit(0);
+  h.mine_and_submit(0);
+  EXPECT_EQ(confs.confirmations(txid), 4);
+
+  // A longer branch forking below the confirming block: the tx is
+  // unconfirmed again (back in the pool), then re-mined on the new branch.
+  for (const chain::Block& b :
+       branch_from(h, node.chain(), confirmed_at - 1, 5, 1000)) {
+    node.submit_block(b);
+  }
+  ASSERT_EQ(node.chain().height(), confirmed_at + 4);
+  EXPECT_FALSE(confs.confirmations(txid).has_value());
+  ASSERT_TRUE(node.mempool().contains(txid));
+  h.mine_and_submit(0);
+  EXPECT_EQ(confs.confirmations(txid), 1);
+  h.mine_and_submit(0);
+  EXPECT_EQ(confs.confirmations(txid), 2);
+
+  // An in-memory restart comes back at genesis; catch-up rebuilds the
+  // depth. Unwatched txids are never reported.
+  std::vector<chain::Block> history;
+  for (int height = 1; height <= node.chain().height(); ++height)
+    history.push_back(*node.chain().block_at(height));
+  node.crash();
+  ASSERT_TRUE(node.restart());
+  EXPECT_FALSE(confs.confirmations(txid).has_value());
+  for (const chain::Block& b : history) node.submit_block(b);
+  EXPECT_EQ(confs.confirmations(txid), 2);
+  confs.forget(txid);
+  EXPECT_FALSE(confs.confirmations(txid).has_value());
+  EXPECT_EQ(confs.watched(), 0u);
 }
 
 // -- Wire framing (TCP transport). --

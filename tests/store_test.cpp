@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 // Heap accounting for the memory regression test: glibc's mallinfo2 (2.33+)
 // counts the bytes in use, unless a sanitizer's allocator is in charge.
@@ -19,6 +20,7 @@
 #endif
 
 #include "chain/miner.hpp"
+#include "chain/sigcache.hpp"
 #include "chain/wallet.hpp"
 #include "crypto/sha256.hpp"
 #include "p2p/chain_node.hpp"
@@ -1200,9 +1202,10 @@ TEST(ChainStore, HeapPerConnectedTxStaysSmall) {
 #ifndef BCWAN_HEAP_ACCOUNTING
   GTEST_SKIP() << "needs glibc mallinfo2 and the glibc allocator";
 #else
-  // A persistent chain keeps headers, the UTXO set and the tx index in
-  // memory; bodies and undo (~540 B/tx when they were heap-resident) live
-  // in the store's files.
+  // A persistent chain keeps headers and the UTXO set in memory; bodies and
+  // undo (~540 B/tx when they were heap-resident) live in the store's
+  // files. There is no tx index, and a connect consumes the script-exec
+  // cache entries its mempool admission made.
   StoreHarness h;
   h.opts.snapshot_interval = 16;
   h.opts.fsync_each_append = false;
@@ -1232,8 +1235,9 @@ TEST(ChainStore, HeapPerConnectedTxStaysSmall) {
       (kBlocks * (kTxsPerBlock + 1));
   RecordProperty("heap_bytes_per_tx", static_cast<int>(per_tx));
   std::printf("heap growth per connected tx: %.0f B\n", per_tx);
-  EXPECT_LT(per_tx, 400.0);
+  EXPECT_LT(per_tx, 250.0);
   EXPECT_EQ(h.chain->files().memory_bytes(), 0u);
+  EXPECT_LE(chain::script_exec_cache().size(), h.pool.size());
 #endif
 }
 
@@ -1282,6 +1286,131 @@ TEST(ChainStore, DeltaRestoredChainSelectsCoinsLikeLiveChain) {
   EXPECT_EQ(h.chain->state_hash(), live.state_hash());
 }
 
+/// Wallet::spendable by a full UTXO walk, filtered and ordered as it
+/// promises: the oracle for the wallet's coin cache.
+std::vector<std::pair<chain::OutPoint, chain::Coin>> spendable_by_walk(
+    const Wallet& wallet, const Blockchain& chain, const Mempool* pool) {
+  const script::Script own = script::make_p2pkh(wallet.pkh());
+  std::vector<std::pair<chain::OutPoint, chain::Coin>> coins;
+  chain.utxo().for_each([&](const chain::OutPoint& op, const chain::Coin& c) {
+    if (!(c.out.script_pubkey == own)) return;
+    if (c.coinbase &&
+        chain.height() + 1 - c.height < chain.params().coinbase_maturity) {
+      return;
+    }
+    if (pool == nullptr || !pool->spends(op)) coins.emplace_back(op, c);
+  });
+  if (pool != nullptr) {
+    pool->for_each([&](const chain::Transaction& tx) {
+      for (std::uint32_t v = 0; v < tx.vout.size(); ++v) {
+        const chain::OutPoint op{tx.txid(), v};
+        if (tx.vout[v].script_pubkey == own && !pool->spends(op))
+          coins.emplace_back(op, chain::Coin{tx.vout[v], chain.height() + 1,
+                                             false});
+      }
+    });
+  }
+  std::sort(coins.begin(), coins.end(), [](const auto& a, const auto& b) {
+    if (a.second.out.value != b.second.out.value)
+      return a.second.out.value > b.second.out.value;
+    if (a.first.txid != b.first.txid) return a.first.txid < b.first.txid;
+    return a.first.index < b.first.index;
+  });
+  return coins;
+}
+
+TEST(Wallet, CoinCacheMatchesUtxoWalk) {
+  // The wallet's own-coin cache against a full UTXO walk after connects,
+  // mempool churn, a multi-block reorg and a store reopen. While the chain
+  // only extends, the cache catches up block by block: no second walk.
+  StoreHarness h;
+  h.opts.snapshot_interval = 4;
+  h.reopen();
+  const Wallet alice = Wallet::from_seed("alice");
+  const Wallet bob = Wallet::from_seed("bob");
+  const auto check = [&](const char* step) {
+    for (const Wallet* w : {&std::as_const(h.wallet), &alice, &bob}) {
+      EXPECT_EQ(w->spendable(*h.chain, &h.pool),
+                spendable_by_walk(*w, *h.chain, &h.pool))
+          << step;
+      EXPECT_EQ(w->spendable(*h.chain), spendable_by_walk(*w, *h.chain, nullptr))
+          << step;
+    }
+  };
+  const auto admit = [&](const std::optional<chain::Transaction>& tx) {
+    ASSERT_TRUE(tx.has_value());
+    ASSERT_TRUE(h.pool.accept(*tx, h.chain->utxo(), h.chain->height() + 1).ok());
+  };
+  const auto rebuilds = [&] {
+    return h.wallet.coin_rebuilds() + alice.coin_rebuilds() +
+           bob.coin_rebuilds();
+  };
+
+  h.fund();
+  check("funded");
+  EXPECT_EQ(rebuilds(), 3u);  // each wallet's first call walks once
+
+  // Connects: payments, chained unconfirmed spends, intra-block spends.
+  for (int b = 0; b < 6; ++b) {
+    admit(h.wallet.create_payment(*h.chain, &h.pool, alice.pkh(),
+                                  (b + 1) * chain::kCoin / 10, 1000));
+    check("pool: payment");
+    admit(alice.create_payment(*h.chain, &h.pool, bob.pkh(),
+                               chain::kCoin / 100, 1000));
+    check("pool: chained spend of an unconfirmed credit");
+    h.mine_block();
+    check("connected");
+  }
+  admit(bob.create_payment(*h.chain, &h.pool, h.wallet.pkh(),
+                           chain::kCoin / 1000, 1000));
+  h.mine_blocks(2);
+  check("extended");
+  EXPECT_EQ(rebuilds(), 3u);
+
+  // Mempool churn: admitted, then dropped without confirming.
+  admit(alice.create_payment(*h.chain, &h.pool, bob.pkh(), chain::kCoin / 50,
+                             1000));
+  check("pool: admitted");
+  h.pool.clear();
+  check("pool: cleared");
+  EXPECT_EQ(rebuilds(), 3u);
+
+  // A three-block reorg onto a branch that pays bob instead.
+  const int fork = h.chain->height() - 3;
+  Blockchain branch(h.params);
+  for (int height = 1; height <= fork; ++height)
+    ASSERT_EQ(branch.accept_block(*h.chain->block_at(height)),
+              AcceptBlockResult::kConnected);
+  Mempool branch_pool(h.params);
+  const auto to_bob = h.wallet.create_payment(branch, &branch_pool, bob.pkh(),
+                                              3 * chain::kCoin, 1000);
+  ASSERT_TRUE(to_bob.has_value());
+  ASSERT_TRUE(
+      branch_pool.accept(*to_bob, branch.utxo(), branch.height() + 1).ok());
+  for (int i = 0; i < 4; ++i) {
+    const Block block = h.miner.mine(branch, branch_pool, 5000 + i);
+    ASSERT_EQ(branch.accept_block(block), AcceptBlockResult::kConnected);
+    branch_pool.remove_confirmed(block);
+    h.chain->accept_block(block);
+  }
+  ASSERT_EQ(h.chain->tip_hash(), branch.tip_hash());
+  check("reorganized");
+  // The miner's wallet walked `branch` and then the chain again; the reorg
+  // took every other synced tip off the active chain.
+  EXPECT_EQ(rebuilds(), 7u);
+
+  // A store reopen recovers the same chain in place: each cache's synced
+  // tip is still active, so the caches carry on without a walk.
+  h.reopen();
+  check("reopened");
+  h.mine_blocks(2);
+  admit(h.wallet.create_payment(*h.chain, &h.pool, bob.pkh(), chain::kCoin,
+                                1000));
+  h.mine_block();
+  check("extended after reopen");
+  EXPECT_EQ(rebuilds(), 7u);
+}
+
 // --- Blockchain state serialization ---
 
 TEST(Blockchain, StateSerializationRoundTrip) {
@@ -1298,11 +1427,8 @@ TEST(Blockchain, StateSerializationRoundTrip) {
   EXPECT_EQ(restored->tip_hash(), h.chain->tip_hash());
   EXPECT_EQ(restored->state_hash(), h.chain->state_hash());
   EXPECT_EQ(restored->active_chain(), h.chain->active_chain());
-  // tx_index_ rebuilt: confirmations resolve on the restored chain.
-  int confs = 0;
-  ASSERT_TRUE(restored->tx_confirmations(
-      h.chain->block_at(h.chain->height())->txs[0].txid(), confs));
-  EXPECT_EQ(confs, 1);
+  EXPECT_EQ(restored->block_bytes_at(restored->height()),
+            h.chain->block_bytes_at(h.chain->height()));
 }
 
 TEST(Blockchain, RestoreStateRejectsMalformedInput) {
