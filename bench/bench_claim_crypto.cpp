@@ -3,6 +3,8 @@
 // via google-benchmark.
 #include <benchmark/benchmark.h>
 
+#include "bignum/montgomery.hpp"
+#include "bignum/primes.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/ecdsa.hpp"
 #include "crypto/ripemd160.hpp"
@@ -132,6 +134,50 @@ void BM_EcdsaVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EcdsaVerify)->Unit(benchmark::kMillisecond);
+
+// Layer costs under the two headline operations. A 512-bit keygen is
+// dominated by Miller–Rabin rounds over its 256-bit prime candidates (4-limb
+// Montgomery); an ECDSA signature is one fixed-base scalar multiplication
+// plus one Fermat inversion of the nonce mod n.
+
+void BM_MillerRabinRound256(benchmark::State& state) {
+  util::Rng rng(14);
+  const bignum::BigUint n = bignum::generate_prime(rng, 256);
+  bignum::BigUint d = n - bignum::BigUint(1);
+  std::size_t r = 0;
+  while (d.is_even()) {
+    d = d >> 1;
+    ++r;
+  }
+  const bignum::MontgomeryCtx ctx(n);
+  const bignum::BigUint base =
+      bignum::BigUint::random_below(rng, n - bignum::BigUint(4)) +
+      bignum::BigUint(2);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.strong_probable_prime(base, d, r));
+  }
+}
+BENCHMARK(BM_MillerRabinRound256)->Unit(benchmark::kMicrosecond);
+
+void BM_EcMulGen(benchmark::State& state) {
+  util::Rng rng(15);
+  const bignum::BigUint k = bignum::BigUint::random_below(
+      rng, crypto::Secp256k1::n());
+  for (auto _ : state) benchmark::DoNotOptimize(crypto::ec_mul_gen(k));
+}
+BENCHMARK(BM_EcMulGen)->Unit(benchmark::kMicrosecond);
+
+void BM_ScalarInv(benchmark::State& state) {
+  util::Rng rng(16);
+  const bignum::BigUint& n = crypto::Secp256k1::n();
+  const bignum::BigUint n_minus_2 = n - bignum::BigUint(2);
+  const bignum::BigUint s = bignum::BigUint::random_below(rng, n);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        bignum::MontgomeryCtx::cached(n)->mod_exp(s, n_minus_2));
+  }
+}
+BENCHMARK(BM_ScalarInv)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -82,6 +82,13 @@ SCHEMAS = {
         "levels": list,
         "peak_rss_bytes": NUM,
     },
+    "ABL-RSA": {
+        "smoke": bool,
+        "host": dict,
+        "keygen_pinned": bool,
+        "sizes": list,
+        "peak_rss_bytes": NUM,
+    },
     "SCALE": {
         "smoke": bool,
         "cores": NUM,
@@ -109,7 +116,8 @@ SCHEMAS = {
 
 # Lists of (metric, direction): direction "higher" means larger values are
 # better. Only ratio-style or machine-stable metrics are gated; raw
-# millisecond numbers shift with runner hardware and stay schema-only.
+# millisecond numbers shift with runner hardware and stay schema-only
+# (ABL-RSA's keygen times, for one, have no headline here).
 HEADLINES = {
     # incremental_snapshot_bytes gates "a delta grew back into a full base"
     # (lower is better); compaction_ms keeps the fold itself bounded.
@@ -130,10 +138,12 @@ HEADLINES = {
 # gates (two same-seed city / Scenario runs must be bit-identical).
 # snapshot_cost_independent asserts the tentpole property of incremental
 # snapshots: a delta's size tracks the change window, not the UTXO set.
+# keygen_pinned: the seed-1 RSA-512 key is the one Rsa.GeneratedKeysPinned
+# pins, so the timed keygen searched the same candidates.
 CORRECTNESS_FLAGS = ["equivalence_ok", "verdicts_match",
                      "economic_invariants_hold", "verify_clean",
                      "trace_repeat_equal", "chain_tips_repeat_equal",
-                     "snapshot_cost_independent"]
+                     "snapshot_cost_independent", "keygen_pinned"]
 
 
 def fail(code, msg):

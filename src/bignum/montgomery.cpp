@@ -1,5 +1,6 @@
 #include "bignum/montgomery.hpp"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 #include <utility>
@@ -139,6 +140,91 @@ void cios(const u64* a, const u64* b, u64* out, const u64* m, u64 n0inv,
   }
 }
 
+/// acc = low word of x * y + acc + carry; returns the high word (the next
+/// carry). The sum cannot overflow 128 bits.
+inline u64 mac(u64& acc, u64 x, u64 y, u64 carry) {
+  const u128 cur = static_cast<u128>(x) * y + acc + carry;
+  acc = static_cast<u64>(cur);
+  return static_cast<u64>(cur >> 64);
+}
+
+/// out = t mod m for t = t4:t3:t2:t1:t0 < 2m: compute t - m with its
+/// borrow and keep t only where the subtraction borrowed, selected by mask
+/// rather than by branch, so the extra reduction leaks no timing.
+inline void reduce_once4(u64 t0, u64 t1, u64 t2, u64 t3, u64 t4,
+                         const u64* m, u64* out) {
+  u128 d = static_cast<u128>(t0) - m[0];
+  const u64 s0 = static_cast<u64>(d);
+  d = static_cast<u128>(t1) - m[1] - (static_cast<u64>(d >> 64) & 1);
+  const u64 s1 = static_cast<u64>(d);
+  d = static_cast<u128>(t2) - m[2] - (static_cast<u64>(d >> 64) & 1);
+  const u64 s2 = static_cast<u64>(d);
+  d = static_cast<u128>(t3) - m[3] - (static_cast<u64>(d >> 64) & 1);
+  const u64 s3 = static_cast<u64>(d);
+  d = static_cast<u128>(t4) - (static_cast<u64>(d >> 64) & 1);
+  const u64 keep = 0 - (static_cast<u64>(d >> 64) & 1);  // all ones: t < m
+  out[0] = (t0 & keep) | (s0 & ~keep);
+  out[1] = (t1 & keep) | (s1 & ~keep);
+  out[2] = (t2 & keep) | (s2 & ~keep);
+  out[3] = (t3 & keep) | (s3 & ~keep);
+}
+
+/// The 4-limb CIOS (RSA-512 primes, secp256k1 p and n), straight-line:
+/// operands and modulus are read once into locals and the accumulator
+/// lives in five scalars, so no limb array is indexed in memory and the
+/// compiler keeps the product in registers. Same contract as cios<N>:
+/// b < m; out may alias a or b.
+inline void mont_mul4(const u64* a, const u64* b, u64* out, const u64* m,
+                      u64 n0inv) {
+  const u64 b0 = b[0], b1 = b[1], b2 = b[2], b3 = b[3];
+  const u64 m0 = m[0], m1 = m[1], m2 = m[2], m3 = m[3];
+  const u64 av[4] = {a[0], a[1], a[2], a[3]};
+  u64 t0 = 0, t1 = 0, t2 = 0, t3 = 0, t4 = 0;
+  // One round per limb of a: t = (t + ai * b + q * m) / 2^64, q chosen so
+  // the low limb of the sum is zero.
+#pragma GCC unroll 4
+  for (int i = 0; i < 4; ++i) {
+    const u64 ai = av[i];
+    u64 c = mac(t0, ai, b0, 0);
+    c = mac(t1, ai, b1, c);
+    c = mac(t2, ai, b2, c);
+    c = mac(t3, ai, b3, c);
+    const u128 top = static_cast<u128>(t4) + c;
+    const u64 q = t0 * n0inv;
+    c = mac(t0, q, m0, 0);
+    c = mac(t1, q, m1, c);
+    c = mac(t2, q, m2, c);
+    c = mac(t3, q, m3, c);
+    const u128 next = static_cast<u128>(static_cast<u64>(top)) + c;
+    t0 = t1;
+    t1 = t2;
+    t2 = t3;
+    t3 = static_cast<u64>(next);
+    t4 = static_cast<u64>(top >> 64) + static_cast<u64>(next >> 64);
+  }
+  reduce_once4(t0, t1, t2, t3, t4, m, out);
+}
+
+/// Sliding-window width for an exponent of `bits` bits: the table of
+/// 2^(w-1) odd powers costs 2^(w-1) products up front and saves about
+/// bits / (w + 1) window products, so short exponents (e = 65537) take
+/// plain square-and-multiply and 256-bit ones a 5-bit window.
+constexpr std::size_t kMaxWindowBits = 5;
+constexpr std::size_t window_bits(std::size_t bits) {
+  return bits > 239 ? kMaxWindowBits : bits > 79 ? 4 : bits > 23 ? 3 : 1;
+}
+
+/// Bits [pos, pos + len) of an exponent's 32-bit limbs, len <= 32: one
+/// shift and mask, whichever limbs the window straddles.
+inline std::uint32_t bits_at(const std::vector<std::uint32_t>& e,
+                             std::size_t pos, std::size_t len) {
+  const std::size_t i = pos / 32;
+  u64 v = e[i];
+  if (i + 1 < e.size()) v |= static_cast<u64>(e[i + 1]) << 32;
+  return static_cast<std::uint32_t>(v >> (pos % 32)) &
+         static_cast<std::uint32_t>((u64{1} << len) - 1);
+}
+
 }  // namespace
 
 void MontgomeryCtx::mont_mul(const u64* a, const u64* b, u64* out) const {
@@ -146,7 +232,7 @@ void MontgomeryCtx::mont_mul(const u64* a, const u64* b, u64* out) const {
   // secp256k1 (4 limbs), RSA-512 moduli and RSA-1024 primes (8 limbs).
   switch (n_) {
     case 4:
-      return cios<4>(a, b, out, mod(), n0inv_, n_);
+      return mont_mul4(a, b, out, mod(), n0inv_);
     case 8:
       return cios<8>(a, b, out, mod(), n0inv_, n_);
     default:
@@ -166,32 +252,49 @@ BigUint MontgomeryCtx::mod_mul(const BigUint& a, const BigUint& b) const {
 void MontgomeryCtx::exp_in_domain(const u64* base_m, const BigUint& exp,
                                   u64* acc) const {
   const std::size_t n = n_;
-  // 16-entry window table in the Montgomery domain: table[k] = base^k * R.
-  // Left uninitialized: the first 16 * n entries are written below before
-  // any is read, and zeroing all 8 KiB would cost every exponentiation.
-  u64 tab[16 * kMaxLimbs];
-  for (std::size_t i = 0; i < n; ++i) {
-    tab[i] = r1()[i];  // base^0
-    tab[n + i] = base_m[i];
+  const std::size_t bits = exp.bit_length();
+  if (bits == 0) {
+    for (std::size_t i = 0; i < n; ++i) acc[i] = r1()[i];
+    return;
   }
-  for (std::size_t k = 2; k < 16; ++k)
-    mont_mul(tab + (k - 1) * n, tab + n, tab + k * n);
+  // Left-to-right sliding windows over a table of odd powers, tab[k] =
+  // base^(2k+1) * R. The table is left uninitialized: the entries the
+  // window width uses are written before any is read, and zeroing the
+  // whole array would cost every exponentiation.
+  const std::size_t width = window_bits(bits);
+  u64 tab[(std::size_t{1} << (kMaxWindowBits - 1)) * kMaxLimbs];
+  for (std::size_t i = 0; i < n; ++i) tab[i] = base_m[i];
+  if (width > 1) {
+    u64 square[kMaxLimbs];
+    mont_mul(base_m, base_m, square);
+    for (std::size_t k = 1; k < std::size_t{1} << (width - 1); ++k)
+      mont_mul(tab + (k - 1) * n, square, tab + k * n);
+  }
 
-  for (std::size_t i = 0; i < n; ++i) acc[i] = r1()[i];  // 1 in Montgomery form
-  const std::size_t windows = (exp.bit_length() + 3) / 4;
+  const std::vector<std::uint32_t>& e = exp.limbs_;
   bool started = false;
-  for (std::size_t w = windows; w-- > 0;) {
+  for (std::size_t i = bits; i > 0;) {
+    if (bits_at(e, i - 1, 1) == 0) {
+      mont_mul(acc, acc, acc);  // the top bit is set, so acc is initialized
+      --i;
+      continue;
+    }
+    // The longest window of at most `width` bits ending in a set bit.
+    std::size_t len = std::min(width, i);
+    std::uint32_t win = bits_at(e, i - len, len);
+    while ((win & 1) == 0) {
+      win >>= 1;
+      --len;
+    }
+    const u64* entry = tab + (win >> 1) * n;
     if (started) {
-      for (int s = 0; s < 4; ++s) mont_mul(acc, acc, acc);
-    }
-    std::uint32_t win = 0;
-    for (std::size_t b = 0; b < 4; ++b) {
-      if (exp.bit(4 * w + b)) win |= 1u << b;
-    }
-    if (win != 0) {
-      mont_mul(acc, tab + win * n, acc);
+      for (std::size_t s = 0; s < len; ++s) mont_mul(acc, acc, acc);
+      mont_mul(acc, entry, acc);
+    } else {
+      for (std::size_t j = 0; j < n; ++j) acc[j] = entry[j];
       started = true;
     }
+    i -= len;
   }
 }
 

@@ -12,8 +12,13 @@
 //   * n0' = -m[0]^-1 mod 2^64   (limb-wise Montgomery constant)
 //   * R mod m and R^2 mod m     (domain conversion, R = 2^(64*limbs))
 //
-// `mod_exp` stays in the Montgomery domain throughout and uses a 4-bit
-// window (16-entry table: 4 squarings + at most 1 multiply per window);
+// The 4-limb width (RSA-512 primes, secp256k1 p and n) has its own
+// straight-line kernel whose accumulator lives in five scalars and whose
+// final conditional subtraction is selected by mask, not by branch; other
+// widths run the loop form. `mod_exp` stays in the Montgomery domain
+// throughout and slides windows of up to 5 bits over a table of odd powers,
+// cutting each window from the exponent's limbs by shift and mask (short
+// exponents such as e = 65537 take plain square-and-multiply);
 // `mod_mul` is two CIOS passes (a*R^2 -> aR, then aR*b -> ab mod m).
 // All scratch lives on the stack (moduli up to kMaxLimbs limbs), so an
 // operation allocates only for its BigUint result.
@@ -52,7 +57,7 @@ class MontgomeryCtx {
   /// (a * b) mod m. Operands need not be reduced.
   BigUint mod_mul(const BigUint& a, const BigUint& b) const;
 
-  /// (base ^ exp) mod m, 4-bit windowed, constant Montgomery domain.
+  /// (base ^ exp) mod m, sliding-windowed, constant Montgomery domain.
   BigUint mod_exp(const BigUint& base, const BigUint& exp) const;
 
   /// One Miller–Rabin round for the modulus n = d * 2^r + 1 (d odd, r >= 1)
@@ -69,8 +74,9 @@ class MontgomeryCtx {
   static std::shared_ptr<const MontgomeryCtx> cached(const BigUint& modulus);
 
  private:
-  /// out = a * b * R^-1 mod m (CIOS; unrolled instances for 4 and 8
-  /// limbs). All arrays hold n_ limbs; `out` may alias `a` or `b`.
+  /// out = a * b * R^-1 mod m (CIOS; a straight-line kernel for 4 limbs,
+  /// an unrolled instance for 8). All arrays hold n_ limbs, b < m; `out`
+  /// may alias `a` or `b`.
   void mont_mul(const std::uint64_t* a, const std::uint64_t* b,
                 std::uint64_t* out) const;
   /// acc = base_m ^ exp in the Montgomery domain (base_m = base * R mod m).

@@ -26,9 +26,8 @@ constexpr std::array<std::uint32_t, 168> kSmallPrimes = {
     907, 911, 919, 929, 937, 941, 947, 953, 967, 971, 977, 983, 991, 997};
 
 // Consecutive runs of kSmallPrimes whose product fits in 32 bits: one
-// word remainder of the candidate per group (BigUint::mod_u32), then one
-// machine-word remainder per prime, instead of one BigUint division per
-// prime.
+// remainder of the candidate per group, then one machine-word remainder per
+// prime, instead of one multi-word division per prime.
 struct PrimeGroup {
   std::uint32_t product;
   std::size_t begin, end;  // index range into kSmallPrimes
@@ -62,37 +61,77 @@ constexpr std::array<PrimeGroup, kGroupCount> kGroups = [] {
   return out;
 }();
 
+// A candidate's remainder by a group is taken one block of kBlockWords
+// 32-bit words at a time: the block's words weighted by 2^(32k) mod g,
+// summed in 128 bits, plus the higher blocks' remainder weighted by
+// 2^(32 kBlockWords) mod g, then reduced by one word division. A 256-bit
+// candidate is one block.
+constexpr std::size_t kBlockWords = 8;
+
+// kWordWeights[k][g] = 2^(32k) mod kGroups[g].product, k <= kBlockWords.
+constexpr auto kWordWeights = [] {
+  std::array<std::array<std::uint32_t, kGroupCount>, kBlockWords + 1> out{};
+  for (std::size_t g = 0; g < kGroupCount; ++g) {
+    const std::uint64_t product = kGroups[g].product;
+    std::uint64_t weight = 1 % product;
+    for (std::size_t k = 0; k <= kBlockWords; ++k) {
+      out[k][g] = static_cast<std::uint32_t>(weight);
+      weight = (weight << 32) % product;
+    }
+  }
+  return out;
+}();
+
+// Widest value the word buffers hold: the widest Miller-Rabin modulus.
+constexpr std::size_t kMaxWords = 2 * MontgomeryCtx::kMaxLimbs;
+
 enum class TrialDivision { kPrime, kComposite, kUndecided };
 
-/// Trial division of n >= 2 by every prime below 1000. A small prime itself
-/// is prime, not a multiple of one.
-TrialDivision trial_divide(const BigUint& n) {
-  if (n.bit_length() <= 10 &&
-      std::binary_search(kSmallPrimes.begin(), kSmallPrimes.end(),
-                         static_cast<std::uint32_t>(n.to_u64()))) {
-    return TrialDivision::kPrime;
-  }
-  for (const PrimeGroup& g : kGroups) {
-    const std::uint32_t rem = n.mod_u32(g.product);
-    for (std::size_t i = g.begin; i < g.end; ++i) {
-      if (rem % kSmallPrimes[i] == 0) return TrialDivision::kComposite;
+/// Trial division of a value >= 2, given as `count` little-endian 32-bit
+/// words (count a multiple of kBlockWords), by every prime below 1000. A
+/// small prime itself is prime, not a multiple of one. No allocation.
+TrialDivision trial_divide(const std::uint32_t* words, std::size_t count) {
+  for (std::size_t g = 0; g < kGroupCount; ++g) {
+    const std::uint64_t product = kGroups[g].product;
+    std::uint64_t rem = 0;
+    for (std::size_t block = count; block > 0; block -= kBlockWords) {
+      unsigned __int128 acc =
+          static_cast<unsigned __int128>(rem) * kWordWeights[kBlockWords][g];
+      for (std::size_t k = 0; k < kBlockWords; ++k) {
+        acc += static_cast<std::uint64_t>(words[block - kBlockWords + k]) *
+               kWordWeights[k][g];
+      }
+      rem = static_cast<std::uint64_t>(acc % product);
+    }
+    for (std::size_t i = kGroups[g].begin; i < kGroups[g].end; ++i) {
+      if (static_cast<std::uint32_t>(rem) % kSmallPrimes[i] == 0) {
+        const bool is_itself = words[0] == kSmallPrimes[i] &&
+                               std::all_of(words + 1, words + count,
+                                           [](std::uint32_t w) { return w == 0; });
+        return is_itself ? TrialDivision::kPrime : TrialDivision::kComposite;
+      }
     }
   }
   return TrialDivision::kUndecided;
 }
 
-}  // namespace
-
-bool is_probable_prime(const BigUint& n, util::Rng& rng, std::size_t rounds) {
-  if (n < BigUint(2)) return false;
-  switch (trial_divide(n)) {
-    case TrialDivision::kPrime:
-      return true;
-    case TrialDivision::kComposite:
-      return false;
-    case TrialDivision::kUndecided:
-      break;
+/// Big-endian bytes -> little-endian 32-bit words, zero-padded to a
+/// multiple of kBlockWords; returns the word count. `be` holds at most
+/// 4 * kMaxWords bytes.
+std::size_t to_words(util::ByteView be, std::uint32_t* words) {
+  const std::size_t count =
+      ((be.size() + 3) / 4 + kBlockWords - 1) / kBlockWords * kBlockWords;
+  std::fill(words, words + count, 0u);
+  for (std::size_t i = 0; i < be.size(); ++i) {
+    const std::size_t pos = be.size() - 1 - i;  // byte significance
+    words[pos / 4] |= static_cast<std::uint32_t>(be[i]) << (8 * (pos % 4));
   }
+  return count;
+}
+
+/// Miller-Rabin over `rounds` random bases for an n that trial division
+/// left undecided.
+bool miller_rabin(const BigUint& n, util::Rng& rng, std::size_t rounds) {
   // A composite below 1009^2 has a prime factor below 1009 — the first
   // prime past the table — so trial division already decided it.
   if (n < BigUint(1009ULL * 1009)) return true;
@@ -118,12 +157,38 @@ bool is_probable_prime(const BigUint& n, util::Rng& rng, std::size_t rounds) {
   return true;
 }
 
+}  // namespace
+
+bool is_probable_prime(const BigUint& n, util::Rng& rng, std::size_t rounds) {
+  if (n < BigUint(2)) return false;
+  if (n.bit_length() > 32 * kMaxWords)
+    throw std::domain_error("is_probable_prime: wider than 4096 bits");
+  std::array<std::uint32_t, kMaxWords> words{};
+  const util::Bytes be = n.to_bytes_be();
+  switch (trial_divide(words.data(), to_words(be, words.data()))) {
+    case TrialDivision::kPrime:
+      return true;
+    case TrialDivision::kComposite:
+      return false;
+    case TrialDivision::kUndecided:
+      break;
+  }
+  return miller_rabin(n, rng, rounds);
+}
+
 BigUint generate_prime(util::Rng& rng, std::size_t bits) {
   if (bits < 8) throw std::invalid_argument("generate_prime: bits < 8");
+  if (bits > 32 * kMaxWords)
+    throw std::invalid_argument("generate_prime: bits > 4096");
   const std::size_t nbytes = (bits + 7) / 8;
   const std::size_t excess = nbytes * 8 - bits;
+  // Candidates are drawn and trial-divided in these stack buffers; only the
+  // ~16% that survive trial division become a BigUint.
+  std::array<std::uint8_t, 4 * kMaxWords> buf{};
+  std::array<std::uint32_t, kMaxWords> words{};
+  const std::span<std::uint8_t> raw(buf.data(), nbytes);
   for (;;) {
-    util::Bytes raw = rng.bytes(nbytes);
+    rng.fill(raw);
     // Force exact bit length and the next bit down (so p*q has exactly
     // 2*bits bits, as RSA keygen requires), and force oddness.
     raw[0] &= static_cast<std::uint8_t>(0xff >> excess);
@@ -134,8 +199,14 @@ BigUint generate_prime(util::Rng& rng, std::size_t bits) {
       raw[0] |= static_cast<std::uint8_t>(0x40 >> excess);
     }
     raw[nbytes - 1] |= 0x01;
-    const BigUint candidate = BigUint::from_bytes_be(raw);
-    if (is_probable_prime(candidate, rng)) return candidate;
+    const TrialDivision verdict =
+        trial_divide(words.data(), to_words(raw, words.data()));
+    if (verdict == TrialDivision::kComposite) continue;
+    BigUint candidate = BigUint::from_bytes_be(raw);
+    if (verdict == TrialDivision::kPrime ||
+        miller_rabin(candidate, rng, kMillerRabinRounds)) {
+      return candidate;
+    }
   }
 }
 

@@ -84,15 +84,19 @@ double Rng::exponential(double mean) noexcept {
 
 Bytes Rng::bytes(std::size_t n) {
   Bytes out(n);
+  fill(out);
+  return out;
+}
+
+void Rng::fill(std::span<std::uint8_t> out) noexcept {
   std::size_t i = 0;
-  while (i < n) {
+  while (i < out.size()) {
     std::uint64_t r = next();
-    for (int k = 0; k < 8 && i < n; ++k) {
+    for (int k = 0; k < 8 && i < out.size(); ++k) {
       out[i++] = static_cast<std::uint8_t>(r);
       r >>= 8;
     }
   }
-  return out;
 }
 
 }  // namespace bcwan::util

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "util/bytes.hpp"
 
@@ -43,6 +44,8 @@ class Rng {
   bool chance(double p) noexcept { return uniform() < p; }
 
   Bytes bytes(std::size_t n);
+  /// Fills `out` with the byte stream bytes(out.size()) would return.
+  void fill(std::span<std::uint8_t> out) noexcept;
 
   /// Derive an independent generator (stable given call order).
   Rng fork() noexcept { return Rng(next() ^ 0xa0761d6478bd642fULL); }

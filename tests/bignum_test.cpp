@@ -425,6 +425,63 @@ TEST(Montgomery, ExtremeModuliMatchReference) {
   }
 }
 
+TEST(Montgomery, FixedWidthKernelsMatchReference) {
+  // The 4- and 8-limb kernels at their carry and select edges: all-ones
+  // and near-2^(64k) moduli push the accumulator's top word to its limit,
+  // a top limb of exactly 0x8000... is the smallest full-width modulus, and
+  // operands next to m (and R mod m, the Montgomery image of 1) land on
+  // both sides of the final t >= m select.
+  Rng rng(111);
+  std::vector<BigUint> moduli;
+  for (const std::size_t bits : {256u, 512u}) {
+    const BigUint r = BigUint(1) << bits;
+    const BigUint half = BigUint(1) << (bits - 1);
+    for (const std::uint64_t below : {1u, 3u, 189u, 0xffffu})
+      moduli.push_back(r - BigUint(below));
+    moduli.push_back(half + BigUint(1));
+    moduli.push_back(half + (BigUint::random_bits(rng, 64) << 1) + BigUint(1));
+    for (int i = 0; i < 3; ++i)
+      moduli.push_back(half + random_odd_modulus(rng, bits - 1));
+  }
+  std::size_t random_pairs = 0;
+  for (const BigUint& m : moduli) {
+    const std::size_t bits = m.bit_length();
+    ASSERT_TRUE(bits == 256 || bits == 512) << m.to_hex();
+    const MontgomeryCtx ctx(m);
+    const BigUint r_mod_m = (BigUint(1) << bits) % m;
+    const std::vector<BigUint> edges = {BigUint(),      BigUint(1),
+                                        m - BigUint(1), m - BigUint(2),
+                                        r_mod_m,        m + BigUint(1)};
+    for (const BigUint& a : edges) {
+      for (const BigUint& b : edges) {
+        EXPECT_EQ(ctx.mod_mul(a, b), BigUint::mod_mul_basic(a, b, m))
+            << "m=" << m.to_hex() << " a=" << a.to_hex() << " b=" << b.to_hex();
+      }
+    }
+    for (int i = 0; i < 1000; ++i, ++random_pairs) {
+      // Mostly reduced operands; every fourth pair is wider than m.
+      const BigUint a = i % 4 == 0 ? BigUint::random_bits(rng, bits + 32)
+                                   : BigUint::random_below(rng, m);
+      const BigUint b = BigUint::random_below(rng, m);
+      ASSERT_EQ(ctx.mod_mul(a, b), BigUint::mod_mul_basic(a, b, m))
+          << "m=" << m.to_hex() << " a=" << a.to_hex() << " b=" << b.to_hex();
+    }
+    // Exponent lengths on both sides of every sliding-window width change
+    // and of the 64-bit limb boundaries.
+    for (const std::size_t exp_bits :
+         {1u, 2u, 23u, 24u, 63u, 64u, 65u, 128u, 255u, 256u}) {
+      const BigUint exp = BigUint::random_bits(rng, exp_bits - 1) +
+                          (BigUint(1) << (exp_bits - 1));
+      for (const BigUint& base : {m - BigUint(1), r_mod_m,
+                                  BigUint::random_below(rng, m)}) {
+        EXPECT_EQ(ctx.mod_exp(base, exp), BigUint::mod_exp_basic(base, exp, m))
+            << "m=" << m.to_hex() << " exp bits=" << exp_bits;
+      }
+    }
+  }
+  EXPECT_GE(random_pairs, 10000u);
+}
+
 // Textbook Miller-Rabin round over the reference arithmetic.
 bool reference_mr_round(const BigUint& n, const BigUint& base) {
   const BigUint n_minus_1 = n - BigUint(1);
